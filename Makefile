@@ -69,10 +69,12 @@ explore-smoke:
 	$(CARGO) test -q --test explore_corpus smoke_
 	$(CARGO) test -q --test explore_replay
 
-# The transport-conduit gate: a 2-process GUPS run over the shm and uds
-# conduits (real OS processes talking through mmap'd rings / Unix
-# sockets) must match the in-process loopback checksum bit-for-bit
-# (`smoke_` subset of conduit_conformance; README "Conduits"). Release
-# mode keeps the whole thing under ~5 s.
+# The transport-conduit gate: the whole conduit_conformance suite. Real
+# OS processes talking through mmap'd rings, Unix and TCP sockets must
+# match the in-process loopback checksums bit-for-bit — plain, aggregated
+# and chaos GUPS, sample sort and the stencil, with the race checker on —
+# a planted race must be flagged across processes, and a killed process
+# must surface as PeerUnreachable (README "Conduits"). Release mode keeps
+# it to a few seconds.
 conduit-smoke:
-	$(CARGO) test -q --release --test conduit_conformance smoke_
+	$(CARGO) test -q --release --test conduit_conformance

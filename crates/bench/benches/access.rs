@@ -19,7 +19,8 @@
 //! must stay a small fraction of the old fresh-`Vec`-per-frame regime.
 
 use rupcxx_bench::report;
-use rupcxx_net::{AggConfig, AmPayload, BatchReader, Fabric, FabricConfig, GlobalAddr};
+use rupcxx_net::wire::Ops;
+use rupcxx_net::{AggConfig, AmPayload, Fabric, FabricConfig, GlobalAddr};
 use rupcxx_trace::TraceConfig;
 use rupcxx_util::SplitMix64;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -90,8 +91,8 @@ fn drain(f: &Fabric) {
         for m in f.endpoint(1).drain() {
             let src = m.src;
             if let AmPayload::Batch { frames, .. } = m.payload {
-                for frame in BatchReader::new(&frames) {
-                    f.apply_frame(1, src, None, &frame);
+                for op in Ops::new(&frames) {
+                    f.apply_op(1, src, None, &op, true);
                 }
             }
         }

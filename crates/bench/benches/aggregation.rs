@@ -13,7 +13,8 @@
 use rupcxx_bench::criterion_group;
 use rupcxx_bench::harness::Criterion;
 use rupcxx_bench::report;
-use rupcxx_net::{AggConfig, AmPayload, BatchReader, Fabric, FabricConfig, GlobalAddr};
+use rupcxx_net::wire::Ops;
+use rupcxx_net::{AggConfig, AmPayload, Fabric, FabricConfig, GlobalAddr};
 use rupcxx_trace::TraceConfig;
 use rupcxx_util::SplitMix64;
 use std::fmt::Write as _;
@@ -55,8 +56,8 @@ fn drain(f: &Fabric) {
         for m in f.endpoint(1).drain() {
             let src = m.src;
             if let AmPayload::Batch { frames, .. } = m.payload {
-                for frame in BatchReader::new(&frames) {
-                    f.apply_frame(1, src, None, &frame);
+                for op in Ops::new(&frames) {
+                    f.apply_op(1, src, None, &op, true);
                 }
             }
         }

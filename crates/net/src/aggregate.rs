@@ -9,15 +9,16 @@
 //! for irregular workloads. This module is that layer:
 //!
 //! * each rank keeps one small coalescing buffer **per destination** into
-//!   which buffered operations are packed as compact frames
-//!   ([`Frame`]: handler RPCs, `xor`/`add` word updates, small puts);
+//!   which buffered operations are packed as op frames of the one wire
+//!   grammar ([`crate::wire`]: handler RPCs, `xor`/`add` word updates,
+//!   small puts), so the buffer is an `Am` body as it fills;
 //! * a buffer flushes as **one** [`AmPayload::Batch`] active message when
 //!   it crosses the configured byte or frame-count threshold
 //!   ([`AggConfig`]), or when the runtime force-flushes at a completion
 //!   point (`advance()`, `fence()`, `barrier()`, `async_copy_fence`);
 //! * the receiver pops the batch from its inbox **once** and dispatches
-//!   the frames in order, so queue, allocation, stats and trace costs are
-//!   paid per batch, not per operation;
+//!   the frames in order ([`Fabric::apply_op`]), so queue, allocation,
+//!   stats and trace costs are paid per batch, not per operation;
 //! * the reliable/fault layer sees the batch as a single sequenced frame:
 //!   a retransmit redelivers the whole batch exactly once, and per-link
 //!   FIFO order is preserved — [`Fabric::send_am`] flushes the
@@ -35,7 +36,9 @@
 
 use crate::fabric::{AmPayload, Fabric, GlobalAddr};
 use crate::inbox::{thread_shard, INBOX_SHARDS};
+use crate::wire::{Op, Reply};
 use crate::Rank;
+use rupcxx_check::{AccessKind, Stamp};
 use rupcxx_trace::EventKind;
 use rupcxx_util::sync::SpinMutex;
 use rupcxx_util::{Bytes, SlabPool};
@@ -122,13 +125,15 @@ impl AggConfig {
     }
 }
 
-/// Largest `data` accepted by [`Fabric::put_buffered`] as a frame; larger
-/// puts are not "fine-grained" and go out directly.
+/// Largest `data` accepted by [`Fabric::put_buffered`] (and largest
+/// handler args accepted by [`Fabric::am_buffered`]) as a frame; larger
+/// payloads are not "fine-grained" and go out directly.
 pub const AGG_MAX_PUT: usize = 1024;
 
 /// Headroom reserved beyond the byte threshold so the threshold check
 /// (which runs *after* the frame is packed) never forces a slab to grow:
-/// the largest frame is a [`AGG_MAX_PUT`]-byte put plus its header.
+/// the largest frame is an [`AGG_MAX_PUT`]-byte put or handler call plus
+/// its header.
 const AGG_SLACK: usize = AGG_MAX_PUT + 64;
 
 /// One (shard, destination) coalescing buffer. `bytes` is a slab on loan
@@ -139,7 +144,7 @@ const AGG_SLACK: usize = AGG_MAX_PUT + 64;
 struct AggBuf {
     /// Frames currently packed in `bytes`.
     count: u32,
-    /// Packed frame encoding (see the `TAG_*` constants).
+    /// Packed op frames: an `Am` body ([`crate::wire`]).
     bytes: Vec<u8>,
 }
 
@@ -187,143 +192,6 @@ impl AggState {
             // a margin of in-flight batches.
             pool: SlabPool::new(INBOX_SHARDS * ranks + 8),
         }
-    }
-}
-
-const TAG_HANDLER: u8 = 0;
-const TAG_XOR: u8 = 1;
-const TAG_ADD: u8 = 2;
-const TAG_PUT: u8 = 3;
-
-/// One unpacked frame of an [`AmPayload::Batch`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Frame<'a> {
-    /// A registered-handler RPC (dispatched through the runtime's
-    /// handler table, like a direct `AmPayload::Handler`).
-    Handler {
-        /// Registered handler id.
-        id: u16,
-        /// Packed arguments.
-        args: &'a [u8],
-    },
-    /// An atomic xor on an aligned word of the destination's segment.
-    Xor {
-        /// Packed target address (rank = the destination itself).
-        addr: GlobalAddr,
-        /// Operand.
-        value: u64,
-    },
-    /// An atomic add on an aligned word of the destination's segment.
-    Add {
-        /// Packed target address (rank = the destination itself).
-        addr: GlobalAddr,
-        /// Operand.
-        value: u64,
-    },
-    /// A small contiguous write into the destination's segment.
-    Put {
-        /// Packed target address (rank = the destination itself).
-        addr: GlobalAddr,
-        /// Bytes to write.
-        data: &'a [u8],
-    },
-}
-
-fn encode_handler(buf: &mut Vec<u8>, id: u16, args: &[u8]) {
-    buf.push(TAG_HANDLER);
-    buf.extend_from_slice(&id.to_le_bytes());
-    buf.extend_from_slice(&(args.len() as u32).to_le_bytes());
-    buf.extend_from_slice(args);
-}
-
-// RMA frames carry the packed [`GlobalAddr`] word verbatim: the rank bits
-// double as an end-to-end integrity check (the receiver asserts the frame
-// was packed for it), and encode/decode are a single 8-byte move either
-// way.
-#[inline]
-fn encode_word(buf: &mut Vec<u8>, tag: u8, addr: GlobalAddr, value: u64) {
-    // Assemble the frame on the stack and append it with ONE
-    // `extend_from_slice`: a single length/capacity check instead of
-    // three, and the compiler lowers the copy to two unaligned 8-byte
-    // stores plus a byte.
-    let mut frame = [0u8; 17];
-    frame[0] = tag;
-    frame[1..9].copy_from_slice(&addr.packed().to_le_bytes());
-    frame[9..17].copy_from_slice(&value.to_le_bytes());
-    buf.extend_from_slice(&frame);
-}
-
-fn encode_put(buf: &mut Vec<u8>, addr: GlobalAddr, data: &[u8]) {
-    buf.push(TAG_PUT);
-    buf.extend_from_slice(&addr.packed().to_le_bytes());
-    buf.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    buf.extend_from_slice(data);
-}
-
-/// In-order iterator over the frames packed in a batch payload.
-///
-/// The encoding is produced and consumed inside this crate, so a
-/// malformed buffer is an internal invariant violation and panics.
-pub struct BatchReader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> BatchReader<'a> {
-    /// Iterate the frames of `frames` (an [`AmPayload::Batch`] body).
-    pub fn new(frames: &'a [u8]) -> Self {
-        BatchReader { buf: frames }
-    }
-
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        head
-    }
-
-    fn take_u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
-    }
-
-    fn take_u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
-    }
-}
-
-impl<'a> Iterator for BatchReader<'a> {
-    type Item = Frame<'a>;
-
-    fn next(&mut self) -> Option<Frame<'a>> {
-        if self.buf.is_empty() {
-            return None;
-        }
-        let tag = self.take(1)[0];
-        Some(match tag {
-            TAG_HANDLER => {
-                let id = u16::from_le_bytes(self.take(2).try_into().unwrap());
-                let len = self.take_u32() as usize;
-                Frame::Handler {
-                    id,
-                    args: self.take(len),
-                }
-            }
-            TAG_XOR => Frame::Xor {
-                addr: GlobalAddr::from_packed(self.take_u64()),
-                value: self.take_u64(),
-            },
-            TAG_ADD => Frame::Add {
-                addr: GlobalAddr::from_packed(self.take_u64()),
-                value: self.take_u64(),
-            },
-            TAG_PUT => {
-                let addr = GlobalAddr::from_packed(self.take_u64());
-                let len = self.take_u32() as usize;
-                Frame::Put {
-                    addr,
-                    data: self.take(len),
-                }
-            }
-            other => panic!("batch frame with unknown tag {other}"),
-        })
     }
 }
 
@@ -438,10 +306,12 @@ impl Fabric {
 
     /// Buffered registered-handler RPC: packed as a frame when
     /// aggregation is on and `dst` is remote, otherwise a direct
-    /// [`Fabric::send_am`].
+    /// [`Fabric::send_am`]. Args over [`AGG_MAX_PUT`] bytes go out
+    /// directly too, so a frame never outgrows [`AGG_SLACK`].
     pub fn am_buffered(&self, initiator: Rank, dst: Rank, id: u16, args: &[u8]) {
-        if self.endpoints[initiator].agg.is_some() && dst != initiator {
-            self.agg_push(initiator, dst, |b| encode_handler(b, id, args));
+        if self.endpoints[initiator].agg.is_some() && dst != initiator && args.len() <= AGG_MAX_PUT
+        {
+            self.agg_push(initiator, dst, |b| Op::Handler { id, args }.encode(b));
         } else {
             self.send_am(
                 initiator,
@@ -460,7 +330,7 @@ impl Fabric {
         if self.endpoints[initiator].agg.is_some() && dst.rank() != initiator {
             self.invalidate_own(initiator, dst, 8);
             self.agg_push(initiator, dst.rank(), |b| {
-                encode_word(b, TAG_XOR, dst, value)
+                Op::Xor { addr: dst, value }.encode(b)
             });
         } else {
             let _ = self.xor_u64(initiator, dst, value);
@@ -472,7 +342,7 @@ impl Fabric {
         if self.endpoints[initiator].agg.is_some() && dst.rank() != initiator {
             self.invalidate_own(initiator, dst, 8);
             self.agg_push(initiator, dst.rank(), |b| {
-                encode_word(b, TAG_ADD, dst, value)
+                Op::Add { addr: dst, value }.encode(b)
             });
         } else {
             let _ = self.add_u64(initiator, dst, value);
@@ -487,85 +357,116 @@ impl Fabric {
             && data.len() <= AGG_MAX_PUT
         {
             self.invalidate_own(initiator, dst, data.len());
-            self.agg_push(initiator, dst.rank(), |b| encode_put(b, dst, data));
+            self.agg_push(initiator, dst.rank(), |b| {
+                Op::Put { addr: dst, data }.encode(b)
+            });
         } else {
             self.put(initiator, dst, data);
         }
     }
 
-    /// Apply one segment-level frame on `me`'s own segment (the receiver
-    /// side of batch dispatch). Returns `false` for [`Frame::Handler`],
-    /// which the caller must route through its handler registry.
+    /// Apply one op frame from `src` to `me`'s own segment and return its
+    /// reply. Every segment operation that arrives from a peer comes
+    /// through here: in-process batches (the runtime's `Ctx::execute`),
+    /// and the `Am` bodies and `Req`s that arrive over a conduit.
+    /// Handler ops are the caller's to route through its handler table.
     ///
-    /// `src`/`clock` identify the batch the frame arrived in: the checker
-    /// records each applied frame as an access *by the sender* with the
-    /// batch's flush-time clock — not the receiving rank's current clock,
-    /// which would order the frame under everything the receiver has done
-    /// and hide races with the receiver's own unfenced accesses.
-    pub fn apply_frame(
+    /// `stamp` is the clock the frame travelled with. The checker records
+    /// the access *by the sender* at that clock — not the receiving
+    /// rank's current clock, which would order the frame under everything
+    /// the receiver has done and hide races with the receiver's own
+    /// unfenced accesses. `in_am` names the carrier in the finding: ops in
+    /// an `Am` were buffered by the aggregation layer (`agg-*`), ops in a
+    /// `Req` are blocking RMA.
+    #[inline]
+    pub fn apply_op(
         &self,
         me: Rank,
         src: Rank,
-        clock: Option<&rupcxx_check::Stamp>,
-        frame: &Frame<'_>,
-    ) -> bool {
-        if let (Some(ck), Some(stamp)) = (&self.check, clock) {
-            match frame {
-                Frame::Xor { addr, .. } => {
-                    ck.frame_access(
-                        src,
-                        me,
-                        addr.offset(),
-                        8,
-                        rupcxx_check::AccessKind::Atomic,
-                        stamp,
-                        "agg-xor",
-                    );
-                }
-                Frame::Add { addr, .. } => {
-                    ck.frame_access(
-                        src,
-                        me,
-                        addr.offset(),
-                        8,
-                        rupcxx_check::AccessKind::Atomic,
-                        stamp,
-                        "agg-add",
-                    );
-                }
-                Frame::Put { addr, data } => {
-                    ck.frame_access(
-                        src,
-                        me,
-                        addr.offset(),
-                        data.len(),
-                        rupcxx_check::AccessKind::Write,
-                        stamp,
-                        "agg-put",
-                    );
-                }
-                Frame::Handler { .. } => {}
+        stamp: Option<&Stamp>,
+        op: &Op<'_>,
+        in_am: bool,
+    ) -> Reply {
+        let check = |offset: usize, len: usize, kind: AccessKind, label: &'static str| {
+            if let (Some(ck), Some(stamp)) = (&self.check, stamp) {
+                ck.frame_access(src, me, offset, len, kind, stamp, label);
             }
-        }
-        // The packed rank bits assert end-to-end that the frame was packed
+        };
+        // The packed rank bits assert end to end that the frame was packed
         // for this rank's segment.
-        if let Frame::Xor { addr, .. } | Frame::Add { addr, .. } | Frame::Put { addr, .. } = frame {
-            debug_assert_eq!(addr.rank(), me, "batch frame addressed to the wrong rank");
-        }
+        debug_assert!(
+            op.addr().is_none_or(|a| a.rank() == me),
+            "op frame addressed to the wrong rank"
+        );
+        let (xor, add, put) = if in_am {
+            ("agg-xor", "agg-add", "agg-put")
+        } else {
+            ("rmw", "rmw", "put")
+        };
         let seg = &self.endpoints[me].segment;
-        match frame {
-            Frame::Xor { addr, value } => {
-                seg.fetch_xor_u64(addr.offset(), *value);
+        match *op {
+            Op::Handler { id, .. } => {
+                panic!("handler op {id} reached apply_op: the runtime dispatches handlers")
             }
-            Frame::Add { addr, value } => {
-                seg.fetch_add_u64(addr.offset(), *value);
+            Op::Xor { addr, value } => {
+                check(addr.offset(), 8, AccessKind::Atomic, xor);
+                Reply::Word(true, seg.fetch_xor_u64(addr.offset(), value))
             }
-            Frame::Put { addr, data } => {
-                seg.write_bytes(addr.offset(), data);
+            Op::Add { addr, value } => {
+                check(addr.offset(), 8, AccessKind::Atomic, add);
+                Reply::Word(true, seg.fetch_add_u64(addr.offset(), value))
             }
-            Frame::Handler { .. } => return false,
+            Op::Cas { addr, current, new } => {
+                check(addr.offset(), 8, AccessKind::Atomic, "rmw");
+                match seg.cas_u64(addr.offset(), current, new) {
+                    Ok(prev) => Reply::Word(true, prev),
+                    Err(prev) => Reply::Word(false, prev),
+                }
+            }
+            Op::Put { addr, data } => {
+                check(addr.offset(), data.len(), AccessKind::Write, put);
+                if data.len() == 8 && addr.offset().is_multiple_of(8) {
+                    seg.store_u64(addr.offset(), u64::from_le_bytes(data.try_into().unwrap()));
+                } else {
+                    seg.write_bytes(addr.offset(), data);
+                }
+                Reply::Ack
+            }
+            Op::Get { addr, len } => {
+                check(addr.offset(), len, AccessKind::Read, "get");
+                let mut data = vec![0u8; len];
+                seg.read_bytes(addr.offset(), &mut data);
+                Reply::Data(data)
+            }
+            Op::PutStrided {
+                addr,
+                stride,
+                block,
+                nblocks,
+                data,
+            } => {
+                for b in 0..nblocks {
+                    let off = addr.offset() + b * stride;
+                    check(off, block, AccessKind::Write, "put-strided");
+                    seg.write_bytes(off, &data[b * block..(b + 1) * block]);
+                }
+                Reply::Ack
+            }
+            Op::GetStrided {
+                addr,
+                stride,
+                block,
+                nblocks,
+            } => {
+                let mut data = vec![0u8; block * nblocks];
+                for b in 0..nblocks {
+                    let off = addr.offset() + b * stride;
+                    check(off, block, AccessKind::Read, "get-strided");
+                    seg.read_bytes(off, &mut data[b * block..(b + 1) * block]);
+                }
+                Reply::Data(data)
+            }
         }
-        true
     }
 }
 
@@ -573,6 +474,7 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::fabric::{AmMessage, FabricConfig};
+    use crate::wire::Ops;
     use rupcxx_trace::TraceConfig;
     use std::sync::Arc;
 
@@ -607,12 +509,12 @@ mod tests {
                 AmPayload::Handler { id, .. } => ids.push(id),
                 AmPayload::Batch { frames, count } => {
                     let mut seen = 0;
-                    for frame in BatchReader::new(&frames) {
+                    for op in Ops::new(&frames) {
                         seen += 1;
-                        if let Frame::Handler { id, .. } = frame {
+                        if let Op::Handler { id, .. } = op {
                             ids.push(id);
                         } else {
-                            assert!(f.apply_frame(me, src, clock.as_ref(), &frame));
+                            f.apply_op(me, src, clock.as_ref(), &op, true);
                         }
                     }
                     assert_eq!(seen, count, "batch count must match its frames");
@@ -641,39 +543,6 @@ mod tests {
         assert!(AggConfig::parse("8192").is_err());
         assert!(AggConfig::parse("0,64").is_err());
         assert!(AggConfig::parse("x,64").is_err());
-    }
-
-    #[test]
-    fn frames_round_trip_in_order() {
-        let mut buf = Vec::new();
-        encode_handler(&mut buf, 7, &[1, 2, 3]);
-        encode_word(&mut buf, TAG_XOR, GlobalAddr::new(1, 40), 0xDEAD);
-        encode_word(&mut buf, TAG_ADD, GlobalAddr::new(1, 48), 5);
-        encode_put(&mut buf, GlobalAddr::new(1, 64), &[9; 16]);
-        encode_handler(&mut buf, 8, &[]);
-        let got: Vec<Frame<'_>> = BatchReader::new(&buf).collect();
-        assert_eq!(
-            got,
-            vec![
-                Frame::Handler {
-                    id: 7,
-                    args: &[1, 2, 3]
-                },
-                Frame::Xor {
-                    addr: GlobalAddr::new(1, 40),
-                    value: 0xDEAD
-                },
-                Frame::Add {
-                    addr: GlobalAddr::new(1, 48),
-                    value: 5
-                },
-                Frame::Put {
-                    addr: GlobalAddr::new(1, 64),
-                    data: &[9; 16]
-                },
-                Frame::Handler { id: 8, args: &[] },
-            ]
-        );
     }
 
     #[test]
@@ -735,11 +604,15 @@ mod tests {
         // A put over AGG_MAX_PUT is not fine-grained: direct one-sided.
         let big = vec![1u8; AGG_MAX_PUT + 1];
         f.put_buffered(0, GlobalAddr::new(1, 0), &big);
+        // Nor are handler args over AGG_MAX_PUT: one direct AM.
+        f.am_buffered(0, 1, 5, &big);
         let c = f.endpoint(0).stats.snapshot();
         assert_eq!(c.agg_ops, 0);
         assert_eq!(c.local_ops, 1);
         assert_eq!(c.puts, 1);
         assert_eq!(c.put_bytes, big.len() as u64);
+        assert_eq!((c.ams_sent, c.am_bytes), (1, big.len() as u64));
+        assert_eq!(dispatch_all(&f, 1), vec![5]);
     }
 
     #[test]

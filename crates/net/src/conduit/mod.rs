@@ -7,8 +7,8 @@
 //! reliable layer's *simulated* faults, aggregation, the read cache, the
 //! checker, the profiler — is transport-agnostic: it manipulates
 //! [`AmMessage`](crate::AmMessage)s and segment bytes, never a socket or
-//! a ring. The fabric encodes those into wire frames (see [`wire`]) only
-//! when a conduit is installed.
+//! a ring. The fabric encodes those into link frames of the one wire grammar
+//! (see [`crate::wire`]) only when a conduit is installed.
 //!
 //! Three implementations:
 //!
@@ -30,7 +30,6 @@
 pub mod loopback;
 pub mod shm;
 pub mod socket;
-pub mod wire;
 
 pub use loopback::LoopbackConduit;
 pub use shm::ShmConduit;

@@ -12,7 +12,6 @@
 
 use crate::aggregate::{AggConfig, AggState};
 use crate::cache::{CacheConfig, CacheState};
-use crate::conduit::wire::RmwOp;
 use crate::conduit::RemoteConfig;
 use crate::faults::FaultPlan;
 use crate::inbox::ShardedInbox;
@@ -21,6 +20,7 @@ use crate::remote::RemoteFabric;
 use crate::schedule::{SchedState, ScheduleConfig};
 use crate::segment::Segment;
 use crate::stats::{CommCounts, CommStats};
+use crate::wire::{self, Op};
 use crate::Rank;
 use rupcxx_check::{AccessKind, CheckConfig, Checker, Stamp};
 use rupcxx_trace::{EventKind, ProfConfig, ProfKind, ProfSpan, ProfState, RankTrace, TraceConfig};
@@ -144,14 +144,14 @@ pub enum AmPayload {
     },
     /// An opaque boxed task — the in-process shortcut for closure `async`s.
     Task(Box<dyn FnOnce() + Send + 'static>),
-    /// A coalesced batch of fine-grained operations from the
-    /// per-destination aggregation layer (see [`crate::aggregate`]): one
-    /// wire message carrying `count` packed frames, unpacked in order by
-    /// the destination in a single inbox pop. The reliable layer treats
-    /// it as one sequenced frame, so a retransmit redelivers the whole
-    /// batch exactly once.
+    /// A batch of op frames: a flush of the per-destination aggregation
+    /// layer (see [`crate::aggregate`]), or any AM that arrived over a
+    /// conduit (an `Am` body). One wire message carrying `count` packed
+    /// frames, unpacked in order by the destination in a single inbox
+    /// pop. The reliable layer treats it as one sequenced frame, so a
+    /// retransmit redelivers the whole batch exactly once.
     Batch {
-        /// Packed frames (decode with [`crate::aggregate::BatchReader`]).
+        /// Packed op frames (walk with [`crate::wire::Ops`]).
         frames: Bytes,
         /// Number of frames packed into `frames`.
         count: u32,
@@ -737,7 +737,7 @@ impl Fabric {
     pub fn put(&self, initiator: Rank, dst: GlobalAddr, data: &[u8]) {
         let t0 = self.put_prologue(initiator, dst, data.len(), AccessKind::Write, "put");
         if let Some(r) = self.remote_to(dst.rank()) {
-            self.remote_put(r, dst, data);
+            self.remote_req(r, Op::Put { addr: dst, data });
         } else {
             let seg = &self.endpoints[dst.rank()].segment;
             if data.len() == 8 && dst.offset().is_multiple_of(8) {
@@ -764,7 +764,8 @@ impl Fabric {
     fn get_direct(&self, initiator: Rank, src: GlobalAddr, buf: &mut [u8]) {
         let t0 = self.get_prologue(initiator, src, buf.len(), "get");
         if let Some(r) = self.remote_to(src.rank()) {
-            self.remote_get(r, src, buf);
+            let len = buf.len();
+            buf.copy_from_slice(&self.remote_req(r, Op::Get { addr: src, len }).data());
         } else {
             let seg = &self.endpoints[src.rank()].segment;
             if buf.len() == 8 && src.offset().is_multiple_of(8) {
@@ -829,22 +830,24 @@ impl Fabric {
                     self.check_access(initiator, src.rank(), off, take, AccessKind::Read, "get");
                     self.count_get(initiator, src.rank(), line_len);
                     self.wire(initiator, src.rank(), line_len);
-                    let mut data = vec![0u8; line_len];
-                    if let Some(r) = self.remote_to(src.rank()) {
-                        self.remote_get(r, GlobalAddr::new(src.rank(), base), &mut data);
+                    let line_addr = GlobalAddr::new(src.rank(), base);
+                    let data = if let Some(r) = self.remote_to(src.rank()) {
+                        let get = Op::Get {
+                            addr: line_addr,
+                            len: line_len,
+                        };
+                        self.remote_req(r, get).data()
                     } else {
+                        let mut data = vec![0u8; line_len];
                         self.endpoints[src.rank()]
                             .segment
                             .read_bytes(base, &mut data);
-                    }
+                        data
+                    };
                     self.trace_rma(EventKind::Get, initiator, src.rank(), line_len, t0);
                     chunk.copy_from_slice(&data[off - base..off - base + take]);
                     let fill = self.check.as_ref().map(|ck| ck.send_stamp(initiator));
-                    cache.insert(
-                        GlobalAddr::new(src.rank(), base),
-                        data.into_boxed_slice(),
-                        fill,
-                    );
+                    cache.insert(line_addr, data.into_boxed_slice(), fill);
                     ep.trace
                         .instant(EventKind::CacheFill, src.rank() as i32, line_len as u64);
                 }
@@ -865,7 +868,8 @@ impl Fabric {
         }
         let t0 = self.put_prologue(initiator, dst, 8, AccessKind::Write, "put");
         if let Some(r) = self.remote_to(dst.rank()) {
-            self.remote_put(r, dst, &value.to_le_bytes());
+            let data = &value.to_le_bytes();
+            self.remote_req(r, Op::Put { addr: dst, data });
         } else {
             self.endpoints[dst.rank()]
                 .segment
@@ -895,9 +899,8 @@ impl Fabric {
     fn get_u64_direct(&self, initiator: Rank, src: GlobalAddr) -> u64 {
         let t0 = self.get_prologue(initiator, src, 8, "get");
         let v = if let Some(r) = self.remote_to(src.rank()) {
-            let mut buf = [0u8; 8];
-            self.remote_get(r, src, &mut buf);
-            u64::from_le_bytes(buf)
+            let data = self.remote_req(r, Op::Get { addr: src, len: 8 }).data();
+            u64::from_le_bytes(data.try_into().unwrap())
         } else {
             self.endpoints[src.rank()].segment.load_u64(src.offset())
         };
@@ -916,7 +919,7 @@ impl Fabric {
         }
         let t0 = self.rmw_prologue(initiator, dst, "xor");
         let v = if let Some(r) = self.remote_to(dst.rank()) {
-            self.remote_rmw(r, RmwOp::Xor, dst, value, 0).1
+            self.remote_req(r, Op::Xor { addr: dst, value }).word().1
         } else {
             self.endpoints[dst.rank()]
                 .segment
@@ -937,7 +940,7 @@ impl Fabric {
         }
         let t0 = self.rmw_prologue(initiator, dst, "add");
         let v = if let Some(r) = self.remote_to(dst.rank()) {
-            self.remote_rmw(r, RmwOp::Add, dst, value, 0).1
+            self.remote_req(r, Op::Add { addr: dst, value }).word().1
         } else {
             self.endpoints[dst.rank()]
                 .segment
@@ -964,7 +967,12 @@ impl Fabric {
         }
         let t0 = self.rmw_prologue(initiator, dst, "cas");
         let r = if let Some(rf) = self.remote_to(dst.rank()) {
-            let (ok, prev) = self.remote_rmw(rf, RmwOp::Cas, dst, current, new);
+            let cas = Op::Cas {
+                addr: dst,
+                current,
+                new,
+            };
+            let (ok, prev) = self.remote_req(rf, cas).word();
             if ok {
                 Ok(prev)
             } else {
@@ -1022,7 +1030,14 @@ impl Fabric {
             self.invalidate_own(initiator, dst, (nblocks - 1) * dst_stride + block);
         }
         if let Some(r) = self.remote_to(dst.rank()) {
-            self.remote_put_strided(r, dst, dst_stride, src, block, nblocks);
+            let op = Op::PutStrided {
+                addr: dst,
+                stride: dst_stride,
+                block,
+                nblocks,
+                data: src,
+            };
+            self.remote_req(r, op);
         } else {
             let seg = &self.endpoints[dst.rank()].segment;
             for b in 0..nblocks {
@@ -1066,7 +1081,13 @@ impl Fabric {
         self.count_get(initiator, src.rank(), buf.len());
         self.wire(initiator, src.rank(), buf.len());
         if let Some(r) = self.remote_to(src.rank()) {
-            self.remote_get_strided(r, src, src_stride, buf, block, nblocks);
+            let op = Op::GetStrided {
+                addr: src,
+                stride: src_stride,
+                block,
+                nblocks,
+            };
+            buf.copy_from_slice(&self.remote_req(r, op).data());
         } else {
             let seg = &self.endpoints[src.rank()].segment;
             for b in 0..nblocks {
@@ -1137,17 +1158,28 @@ impl Fabric {
             prof,
         };
         // Out-of-process destination: the fully-built message (clock and
-        // span attached) goes on the wire; the receiving process re-runs
-        // the delivery tail below, fate draw included.
+        // span attached) goes on the wire as an `Am`; the receiving
+        // process runs it through `deliver`, fate draw included.
         if let Some(r) = self.remote_to(dst) {
-            return self.remote_send_am(r, dst, msg);
+            return r.send_encoded(dst, |b| wire::encode_am(b, &msg));
         }
-        // The single faults-off/schedule-off branch on the AM path; local
-        // deliveries never traverse the (faulty or scheduled) wire.
-        if self.faults.is_some() && initiator != dst {
-            self.am_transmit(initiator, dst, msg);
-        } else if self.sched.is_some() && initiator != dst {
-            self.sched_park(initiator, dst, msg);
+        self.deliver(initiator, dst, msg);
+    }
+
+    /// The delivery tail shared by local sends and conduit arrivals: the
+    /// reliable layer's fate draw, the controlled scheduler, or a direct
+    /// inbox push — the single faults-off/schedule-off branch on the AM
+    /// path; local deliveries never traverse the (faulty or scheduled)
+    /// wire. Feeding conduit arrivals through the fate draw is what lets
+    /// simulated faults wrap a *real* transport unchanged: per-link FIFO
+    /// on the conduit means arrival order equals send order, so the
+    /// deterministic fate sequence matches the loopback run exactly.
+    #[inline]
+    pub(crate) fn deliver(&self, src: Rank, dst: Rank, msg: AmMessage) {
+        if self.faults.is_some() && src != dst {
+            self.am_transmit(src, dst, msg);
+        } else if self.sched.is_some() && src != dst {
+            self.sched_park(src, dst, msg);
         } else {
             self.endpoints[dst].inbox.push(msg);
         }

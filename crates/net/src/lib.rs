@@ -33,8 +33,9 @@ pub(crate) mod remote;
 pub mod schedule;
 pub mod segment;
 pub mod stats;
+pub mod wire;
 
-pub use aggregate::{AggConfig, BatchReader, Frame};
+pub use aggregate::AggConfig;
 pub use cache::{CacheConfig, CacheState};
 pub use conduit::{
     Conduit, ConduitEvent, ConduitSel, LoopbackConduit, RemoteConfig, ShmConduit, SocketConduit,

@@ -8,14 +8,17 @@
 //! counters, trace spans, checker hooks, the fault gate, aggregation —
 //! bit-for-bit identical to the loopback path, and only the final
 //! "touch the peer's memory / push to the peer's inbox" step is swapped
-//! for wire frames (see [`crate::conduit::wire`]):
+//! for link frames of the wire grammar (see [`crate::wire`]):
 //!
-//! * puts/gets/atomics become synchronous token-matched request/reply
-//!   round trips, preserving the blocking RMA semantics;
-//! * AMs are re-assembled on the receiving side and then fed through
-//!   *exactly* the same delivery tail as a local send — including the
-//!   reliable layer's fate draw (`am_transmit`), so fault injection and
-//!   retransmission wrap any conduit unchanged;
+//! * puts/gets/atomics become synchronous token-matched `Req`/reply
+//!   round trips, preserving the blocking RMA semantics; the receiver
+//!   applies the `Req`'s op with the same [`Fabric::apply_op`] that
+//!   applies aggregated batches;
+//! * an AM travels as an `Am` frame and arrives as a view of the received
+//!   bytes, then goes through *exactly* the same delivery tail as a local
+//!   send ([`Fabric::deliver`]) — including the reliable layer's fate
+//!   draw, so fault injection and retransmission wrap any conduit
+//!   unchanged;
 //! * teardown quiescence is an explicit FIN/ack handshake per link,
 //!   carrying the sender's data-frame count (per-link FIFO makes the
 //!   count checkable on arrival).
@@ -26,12 +29,11 @@
 //! real process surfaces as a [`PeerUnreachable`] panic with a flight-
 //! recorder dump instead of a hang.
 
-use crate::conduit::wire::{self, RmwOp, WireFrame};
 use crate::conduit::{self, Conduit, ConduitEvent, RemoteConfig};
-use crate::fabric::{AmMessage, AmPayload, Fabric, GlobalAddr};
+use crate::fabric::{AmMessage, AmPayload, Fabric};
 use crate::reliable::PeerUnreachable;
+use crate::wire::{self, Link, Op, Reply};
 use crate::Rank;
-use rupcxx_check::{AccessKind, Stamp};
 use rupcxx_util::sync::Mutex;
 use rupcxx_util::Bytes;
 use std::collections::HashMap;
@@ -42,17 +44,6 @@ use std::time::{Duration, Instant};
 /// (backstop against protocol bugs; genuine peer death is classified via
 /// `Closed` events or the reliable layer long before this fires).
 const REPLY_STALL_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// A reply matched back to a waiting request by token.
-#[derive(Debug)]
-enum Reply {
-    /// Put / strided-put completion.
-    Ack,
-    /// Get / strided-get data.
-    Data(Vec<u8>),
-    /// RMW result: (cas ok, previous value).
-    Word(bool, u64),
-}
 
 /// Per-process state for a conduit-backed fabric.
 pub(crate) struct RemoteFabric {
@@ -93,7 +84,7 @@ impl RemoteFabric {
     }
 
     /// Encode one frame into the link's scratch buffer and send it.
-    fn send_encoded(&self, dst: Rank, enc: impl FnOnce(&mut Vec<u8>)) {
+    pub(crate) fn send_encoded(&self, dst: Rank, enc: impl FnOnce(&mut Vec<u8>)) {
         let mut buf = self.scratch[dst].lock();
         enc(&mut buf);
         if wire::is_data_frame(&buf) {
@@ -128,24 +119,6 @@ impl Fabric {
         }
     }
 
-    /// The initiator's clock stamp for an outgoing RMA frame, so the
-    /// receiving process can run the same `frame_access` race check the
-    /// aggregation layer runs for batched frames.
-    fn rma_stamp(&self, initiator: Rank) -> Option<Stamp> {
-        self.check.as_ref().map(|ck| ck.send_stamp(initiator))
-    }
-
-    /// Bounds check mirroring the segment's own panic for local ops: the
-    /// initiator should fail, not the (innocent) target process.
-    fn check_remote_bounds(&self, addr: GlobalAddr, len: usize, op: &str) {
-        assert!(
-            addr.offset() + len <= self.seg_bytes,
-            "{op}: out of bounds: offset {} + len {len} > segment {}",
-            addr.offset(),
-            self.seg_bytes
-        );
-    }
-
     /// Block until the reply for `token` arrives, serving incoming
     /// conduit traffic while spinning (two ranks mid-RMA into each other
     /// must each answer the other's request).
@@ -177,145 +150,43 @@ impl Fabric {
         }
     }
 
-    /// Remote put tail (prologue already ran): PUT frame + ack.
-    pub(crate) fn remote_put(&self, r: &RemoteFabric, dst: GlobalAddr, data: &[u8]) {
-        self.check_remote_bounds(dst, data.len(), "put");
-        let token = r.fresh_token();
-        let stamp = self.rma_stamp(r.me);
-        r.send_encoded(dst.rank(), |b| {
-            wire::encode_put(b, stamp.as_ref(), token, dst.offset() as u64, data)
-        });
-        match self.wait_reply(r, token) {
-            Reply::Ack => {}
-            other => panic!("put reply mismatch: {other:?}"),
-        }
-    }
-
-    /// Remote get tail: GET_REQ frame + data reply.
-    pub(crate) fn remote_get(&self, r: &RemoteFabric, src: GlobalAddr, buf: &mut [u8]) {
-        self.check_remote_bounds(src, buf.len(), "get");
-        let token = r.fresh_token();
-        let stamp = self.rma_stamp(r.me);
-        r.send_encoded(src.rank(), |b| {
-            wire::encode_get_req(
-                b,
-                stamp.as_ref(),
-                token,
-                src.offset() as u64,
-                buf.len() as u32,
-            )
-        });
-        match self.wait_reply(r, token) {
-            Reply::Data(d) => buf.copy_from_slice(&d),
-            other => panic!("get reply mismatch: {other:?}"),
-        }
-    }
-
-    /// Remote atomic tail: RMW_REQ frame + word reply `(ok, previous)`.
-    pub(crate) fn remote_rmw(
-        &self,
-        r: &RemoteFabric,
-        op: RmwOp,
-        dst: GlobalAddr,
-        a: u64,
-        b: u64,
-    ) -> (bool, u64) {
-        self.check_remote_bounds(dst, 8, "rmw");
-        let token = r.fresh_token();
-        let stamp = self.rma_stamp(r.me);
-        r.send_encoded(dst.rank(), |buf| {
-            wire::encode_rmw_req(buf, stamp.as_ref(), token, op, dst.offset() as u64, a, b)
-        });
-        match self.wait_reply(r, token) {
-            Reply::Word(ok, val) => (ok, val),
-            other => panic!("rmw reply mismatch: {other:?}"),
-        }
-    }
-
-    /// Remote strided-put tail.
-    pub(crate) fn remote_put_strided(
-        &self,
-        r: &RemoteFabric,
-        dst: GlobalAddr,
-        dst_stride: usize,
-        src: &[u8],
-        block: usize,
-        nblocks: usize,
-    ) {
-        if nblocks > 0 {
-            self.check_remote_bounds(dst, (nblocks - 1) * dst_stride + block, "put_strided");
-        }
-        let token = r.fresh_token();
-        let stamp = self.rma_stamp(r.me);
-        r.send_encoded(dst.rank(), |b| {
-            wire::encode_put_strided(
-                b,
-                stamp.as_ref(),
-                token,
-                dst.offset() as u64,
-                dst_stride as u64,
-                block as u32,
-                nblocks as u32,
-                src,
-            )
-        });
-        match self.wait_reply(r, token) {
-            Reply::Ack => {}
-            other => panic!("put_strided reply mismatch: {other:?}"),
-        }
-    }
-
-    /// Remote strided-get tail.
-    pub(crate) fn remote_get_strided(
-        &self,
-        r: &RemoteFabric,
-        src: GlobalAddr,
-        src_stride: usize,
-        buf: &mut [u8],
-        block: usize,
-        nblocks: usize,
-    ) {
-        if nblocks > 0 {
-            self.check_remote_bounds(src, (nblocks - 1) * src_stride + block, "get_strided");
-        }
-        let token = r.fresh_token();
-        let stamp = self.rma_stamp(r.me);
-        r.send_encoded(src.rank(), |b| {
-            wire::encode_get_strided_req(
-                b,
-                stamp.as_ref(),
-                token,
-                src.offset() as u64,
-                src_stride as u64,
-                block as u32,
-                nblocks as u32,
-            )
-        });
-        match self.wait_reply(r, token) {
-            Reply::Data(d) => buf.copy_from_slice(&d),
-            other => panic!("get_strided reply mismatch: {other:?}"),
-        }
-    }
-
-    /// Remote AM tail (all of `send_am`'s prologue — aggregation
-    /// pre-flush, counters, trace, clock/span attach — already ran).
-    pub(crate) fn remote_send_am(&self, r: &RemoteFabric, dst: Rank, msg: AmMessage) {
-        match &msg.payload {
-            AmPayload::Handler { id, args } => {
-                r.send_encoded(dst, |b| {
-                    wire::encode_am_handler(b, msg.clock.as_ref(), msg.prof.as_ref(), *id, args)
-                });
+    /// Remote RMA tail (the public op's prologue already ran): send `op`
+    /// as a `Req` to the rank it addresses and block until the reply.
+    /// The `Req` carries the initiator's clock stamp so the receiving
+    /// process runs the same race check it runs for aggregated frames.
+    /// The bounds check mirrors the segment's own panic for local ops:
+    /// the initiator should fail, not the (innocent) target process.
+    pub(crate) fn remote_req(&self, r: &RemoteFabric, op: Op<'_>) -> Reply {
+        let addr = op.addr().expect("handler ops travel in an Am");
+        let len = match op {
+            Op::Put { data, .. } => data.len(),
+            Op::Get { len, .. } => len,
+            Op::PutStrided {
+                stride,
+                block,
+                nblocks,
+                ..
             }
-            AmPayload::Batch { frames, count } => {
-                r.send_encoded(dst, |b| {
-                    wire::encode_am_batch(b, msg.clock.as_ref(), msg.prof.as_ref(), *count, frames)
-                });
-            }
-            AmPayload::Task(_) => panic!(
-                "closure AMs cannot cross process boundaries: register a handler \
-                 (send_handler) instead of sending a boxed task to rank {dst}"
-            ),
-        }
+            | Op::GetStrided {
+                stride,
+                block,
+                nblocks,
+                ..
+            } => nblocks.checked_sub(1).map_or(0, |n| n * stride + block),
+            _ => 8,
+        };
+        assert!(
+            addr.offset() + len <= self.seg_bytes,
+            "remote access out of bounds: offset {} + len {len} > segment {}",
+            addr.offset(),
+            self.seg_bytes
+        );
+        let token = r.fresh_token();
+        let stamp = self.check.as_ref().map(|ck| ck.send_stamp(r.me));
+        r.send_encoded(addr.rank(), |b| {
+            wire::encode_req(b, stamp.as_ref(), token, &op)
+        });
+        self.wait_reply(r, token)
     }
 
     /// Drain and dispatch pending conduit events. Returns the number of
@@ -331,7 +202,7 @@ impl Fabric {
         while let Some(ev) = r.conduit.try_recv() {
             work += 1;
             match ev {
-                ConduitEvent::Frame(src, frame) => self.dispatch_frame(r, src, &frame),
+                ConduitEvent::Frame(src, frame) => self.dispatch_frame(r, src, frame.into()),
                 ConduitEvent::Closed(src) => {
                     // A closure after the peer's FIN is a clean goodbye;
                     // before it, the peer died mid-job.
@@ -351,203 +222,44 @@ impl Fabric {
         work
     }
 
-    /// Receiver-side checker hook for wire RMA frames: the same
-    /// stamp-carrying `frame_access` the aggregation layer uses.
-    #[allow(clippy::too_many_arguments)]
-    fn frame_check(
-        &self,
-        src: Rank,
-        me: Rank,
-        offset: usize,
-        len: usize,
-        kind: AccessKind,
-        stamp: Option<&Stamp>,
-        op: &'static str,
-    ) {
-        if let (Some(ck), Some(stamp)) = (&self.check, stamp) {
-            ck.frame_access(src, me, offset, len, kind, stamp, op);
-        }
-    }
-
-    /// Decode and execute one data frame from `src`.
-    fn dispatch_frame(&self, r: &RemoteFabric, src: Rank, frame: &[u8]) {
+    /// Decode and execute one frame from `src`. The frame is wrapped in
+    /// [`Bytes`] once: an `Am` body goes on as a view of it, and so do the
+    /// handler args the runtime later cuts from that body.
+    fn dispatch_frame(&self, r: &RemoteFabric, src: Rank, frame: Bytes) {
         let me = r.me;
-        if wire::is_data_frame(frame) {
+        if wire::is_data_frame(&frame) {
             r.data_recvd[src].fetch_add(1, Ordering::Relaxed);
         }
-        match wire::decode(frame) {
-            WireFrame::AmHandler {
-                clock,
-                prof,
-                id,
-                args,
-            } => {
-                let msg = AmMessage {
-                    src,
-                    payload: AmPayload::Handler {
-                        id,
-                        args: Bytes::from(args.to_vec()),
-                    },
-                    clock,
-                    prof,
-                };
-                self.deliver_arrival(src, me, msg);
-            }
-            WireFrame::AmBatch {
+        match wire::decode(&frame) {
+            Link::Am {
                 clock,
                 prof,
                 count,
-                frames,
+                body,
             } => {
-                let msg = AmMessage {
-                    src,
-                    payload: AmPayload::Batch {
-                        frames: Bytes::from(frames.to_vec()),
-                        count,
-                    },
-                    clock,
-                    prof,
+                let payload = AmPayload::Batch {
+                    frames: frame.slice_ref(body),
+                    count,
                 };
-                self.deliver_arrival(src, me, msg);
-            }
-            WireFrame::Put {
-                stamp,
-                token,
-                offset,
-                data,
-            } => {
-                let offset = offset as usize;
-                self.frame_check(
+                self.deliver(
                     src,
                     me,
-                    offset,
-                    data.len(),
-                    AccessKind::Write,
-                    stamp.as_ref(),
-                    "put",
-                );
-                let seg = &self.endpoints[me].segment;
-                if data.len() == 8 && offset.is_multiple_of(8) {
-                    seg.store_u64(offset, u64::from_le_bytes(data.try_into().unwrap()));
-                } else {
-                    seg.write_bytes(offset, data);
-                }
-                r.send_encoded(src, |b| wire::encode_ack(b, token));
-            }
-            WireFrame::PutStrided {
-                stamp,
-                token,
-                offset,
-                stride,
-                block,
-                nblocks,
-                data,
-            } => {
-                let (offset, stride) = (offset as usize, stride as usize);
-                let (block, nblocks) = (block as usize, nblocks as usize);
-                let seg = &self.endpoints[me].segment;
-                for bi in 0..nblocks {
-                    self.frame_check(
+                    AmMessage {
                         src,
-                        me,
-                        offset + bi * stride,
-                        block,
-                        AccessKind::Write,
-                        stamp.as_ref(),
-                        "put-strided",
-                    );
-                    seg.write_bytes(offset + bi * stride, &data[bi * block..(bi + 1) * block]);
-                }
-                r.send_encoded(src, |b| wire::encode_ack(b, token));
-            }
-            WireFrame::GetReq {
-                stamp,
-                token,
-                offset,
-                len,
-            } => {
-                let (offset, len) = (offset as usize, len as usize);
-                self.frame_check(
-                    src,
-                    me,
-                    offset,
-                    len,
-                    AccessKind::Read,
-                    stamp.as_ref(),
-                    "get",
-                );
-                let mut data = vec![0u8; len];
-                self.endpoints[me].segment.read_bytes(offset, &mut data);
-                r.send_encoded(src, |b| wire::encode_resp_data(b, token, &data));
-            }
-            WireFrame::GetStridedReq {
-                stamp,
-                token,
-                offset,
-                stride,
-                block,
-                nblocks,
-            } => {
-                let (offset, stride) = (offset as usize, stride as usize);
-                let (block, nblocks) = (block as usize, nblocks as usize);
-                let mut data = vec![0u8; block * nblocks];
-                let seg = &self.endpoints[me].segment;
-                for bi in 0..nblocks {
-                    self.frame_check(
-                        src,
-                        me,
-                        offset + bi * stride,
-                        block,
-                        AccessKind::Read,
-                        stamp.as_ref(),
-                        "get-strided",
-                    );
-                    seg.read_bytes(
-                        offset + bi * stride,
-                        &mut data[bi * block..(bi + 1) * block],
-                    );
-                }
-                r.send_encoded(src, |b| wire::encode_resp_data(b, token, &data));
-            }
-            WireFrame::RmwReq {
-                stamp,
-                token,
-                op,
-                offset,
-                a,
-                b,
-            } => {
-                let offset = offset as usize;
-                self.frame_check(
-                    src,
-                    me,
-                    offset,
-                    8,
-                    AccessKind::Atomic,
-                    stamp.as_ref(),
-                    "rmw",
-                );
-                let seg = &self.endpoints[me].segment;
-                let (ok, val) = match op {
-                    RmwOp::Xor => (true, seg.fetch_xor_u64(offset, a)),
-                    RmwOp::Add => (true, seg.fetch_add_u64(offset, a)),
-                    RmwOp::Cas => match seg.cas_u64(offset, a, b) {
-                        Ok(prev) => (true, prev),
-                        Err(prev) => (false, prev),
+                        payload,
+                        clock,
+                        prof,
                     },
-                };
-                r.send_encoded(src, |buf| wire::encode_resp_word(buf, token, ok, val));
+                );
             }
-            WireFrame::RespData { token, data } => {
-                r.replies.lock().insert(token, Reply::Data(data.to_vec()));
+            Link::Req { stamp, token, op } => {
+                let reply = self.apply_op(me, src, stamp.as_ref(), &op, false);
+                r.send_encoded(src, |b| wire::encode_reply(b, token, &reply));
             }
-            WireFrame::RespWord { token, ok, val } => {
-                r.replies.lock().insert(token, Reply::Word(ok, val));
+            Link::Resp { token, reply } => {
+                r.replies.lock().insert(token, reply);
             }
-            WireFrame::Ack { token } => {
-                r.replies.lock().insert(token, Reply::Ack);
-            }
-            WireFrame::Fin { frames } => {
+            Link::Fin { frames } => {
                 let got = r.data_recvd[src].load(Ordering::Relaxed);
                 assert_eq!(
                     got, frames,
@@ -557,25 +269,9 @@ impl Fabric {
                 r.fin_recvd[src].store(true, Ordering::Release);
                 r.send_encoded(src, wire::encode_fin_ack);
             }
-            WireFrame::FinAck => {
+            Link::FinAck => {
                 r.fin_acked[src].store(true, Ordering::Release);
             }
-        }
-    }
-
-    /// The delivery tail shared by local sends and conduit arrivals: the
-    /// reliable layer's fate draw, the controlled scheduler, or a direct
-    /// inbox push. Feeding decoded arrivals through `am_transmit` is what
-    /// lets simulated faults wrap a *real* transport unchanged — per-link
-    /// FIFO on the conduit means arrival order equals send order, so the
-    /// deterministic fate sequence matches the loopback run exactly.
-    pub(crate) fn deliver_arrival(&self, src: Rank, me: Rank, msg: AmMessage) {
-        if self.faults.is_some() && src != me {
-            self.am_transmit(src, me, msg);
-        } else if self.sched.is_some() && src != me {
-            self.sched_park(src, me, msg);
-        } else {
-            self.endpoints[me].inbox.push(msg);
         }
     }
 

@@ -2,7 +2,8 @@
 
 use crate::alloc::OutOfSegmentMemory;
 use crate::shared::Shared;
-use rupcxx_net::{AmMessage, AmPayload, BatchReader, Fabric, Frame, GlobalAddr, Rank};
+use rupcxx_net::wire::{Op, Ops};
+use rupcxx_net::{AmMessage, AmPayload, Fabric, GlobalAddr, Rank};
 use rupcxx_trace::clock::now_ns;
 use rupcxx_trace::waitstate::{classify, pack_wait};
 use rupcxx_trace::{EventKind, ProfEvent, ProfKind, RankTrace, WaitConstruct};
@@ -127,8 +128,8 @@ impl Ctx {
                 // One inbox pop carries many logical ops: apply RMA
                 // frames to our segment, dispatch handler frames in the
                 // order the sender buffered them.
-                for frame in BatchReader::new(&frames) {
-                    if let Frame::Handler { id, args } = frame {
+                for op in Ops::new(&frames) {
+                    if let Op::Handler { id, args } = op {
                         // Re-window the batch buffer around this frame's
                         // args: the handler sees a shared view, no copy.
                         let bytes = frames.slice_ref(args);
@@ -136,7 +137,7 @@ impl Ctx {
                     } else {
                         self.shared
                             .fabric
-                            .apply_frame(self.rank, src, clock.as_ref(), &frame);
+                            .apply_op(self.rank, src, clock.as_ref(), &op, true);
                     }
                 }
             }

@@ -5,21 +5,24 @@
 //! parent (conduit set, forks itself N times), or as one rank of a
 //! multi-process job (`RUPCXX_PROC_RANK` set by the launcher).
 //!
-//! Usage: `conduit_app <gups|gups-agg|sort|stencil|spin> <ranks> [k=v...]`
+//! Usage: `conduit_app <gups|gups-agg|sort|stencil|spin|race-agg-put>
+//! <ranks> [k=v...]`
 //!
 //! Every rank prints a deterministic `RESULT rank=R checksum=X` line;
 //! the conformance suite compares these bit-for-bit across conduits.
+//! `race-agg-put` (2 ranks) plants a data race for the checker: run it
+//! with `RUPCXX_CHECK=race` and the report names `agg-put`.
 //! Keys: `updates`, `table` (gups), `keys`, `seed` (sort), `edge`,
 //! `iters`, `grid=XxYxZ` (stencil), `iters`, `sleep_ms` (spin),
 //! `segment_mib` (all).
 
 use rupcxx_apps::{gups, sample_sort, stencil};
-use rupcxx_net::AggConfig;
+use rupcxx_net::{AggConfig, GlobalAddr};
 use rupcxx_runtime::{spmd_procs, Ctx, HandlerRegistry, ProcOutcome, RuntimeConfig};
 use std::collections::HashMap;
 
 fn usage() -> ! {
-    eprintln!("usage: conduit_app <gups|gups-agg|sort|stencil|spin> <ranks> [k=v...]");
+    eprintln!("usage: conduit_app <gups|gups-agg|sort|stencil|spin|race-agg-put> <ranks> [k=v...]");
     std::process::exit(2);
 }
 
@@ -105,6 +108,21 @@ fn run_workload(ctx: &Ctx, mode: &str, kv: &HashMap<String, String>) -> u64 {
             }
             0
         }
+        "race-agg-put" => {
+            // Rank 0's put stays buffered until the barrier's flush; rank
+            // 1's read of the same word has no happens-before edge to it.
+            // The batch crosses the process boundary with rank 0's
+            // flush-time clock, and rank 1 records the applied frame
+            // against it.
+            let word = GlobalAddr::new(1, 512);
+            if ctx.rank() == 0 {
+                ctx.fabric().put_buffered(0, word, &7u64.to_le_bytes());
+            } else {
+                let _ = ctx.fabric().get_u64(1, word);
+            }
+            ctx.barrier();
+            0
+        }
         other => {
             eprintln!("unknown mode {other:?}");
             usage();
@@ -121,7 +139,7 @@ fn main() {
     let ranks: usize = args[1].parse().unwrap_or_else(|_| usage());
     let kv = parse_kv(&args[2..]);
     let mut config = RuntimeConfig::new(ranks).segment_mib(get(&kv, "segment_mib", 4));
-    if mode == "gups-agg" && config.agg.is_none() {
+    if matches!(mode.as_str(), "gups-agg" | "race-agg-put") && config.agg.is_none() {
         config = config.with_agg(AggConfig::new().flush_count(64));
     }
     let outcome = spmd_procs(config, HandlerRegistry::new(), |ctx| {

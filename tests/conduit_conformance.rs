@@ -8,7 +8,10 @@
 //! real processes and compare its deterministic `RESULT` lines
 //! bit-for-bit against the in-process run.
 //!
-//! The `smoke_` tests are the CI gate (`make conduit-smoke`).
+//! The whole suite is the CI gate (`make conduit-smoke`, release mode):
+//! every frame kind of the wire grammar — aggregated batches, direct
+//! AMs, RMA requests and replies, the checker's clock stamps — crosses a
+//! real process boundary in at least one test.
 
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -80,14 +83,15 @@ fn run_with_timeout(cmd: &mut Command, timeout: Duration) -> Run {
 }
 
 /// Launch `conduit_app mode ranks args...` over `conduit` (None =
-/// in-process loopback) and return its rank→checksum map.
-fn checksums(
+/// in-process loopback), assert it succeeded and one `RESULT` line per
+/// rank, and return the rank→checksum map plus everything it printed.
+fn run_app(
     conduit: Option<&str>,
     mode: &str,
     ranks: usize,
     args: &[&str],
     extra_env: &[(&str, &str)],
-) -> BTreeMap<usize, String> {
+) -> (BTreeMap<usize, String>, String) {
     let mut cmd = Command::new(APP);
     cmd.arg(mode).arg(ranks.to_string()).args(args);
     // The test runner's environment must not leak a conduit or fault
@@ -121,7 +125,18 @@ fn checksums(
         "expected one RESULT per rank over {conduit:?}:\n{}",
         run.stdout
     );
-    sums
+    (sums, format!("{}\n{}", run.stdout, run.stderr))
+}
+
+/// [`run_app`]'s rank→checksum map.
+fn checksums(
+    conduit: Option<&str>,
+    mode: &str,
+    ranks: usize,
+    args: &[&str],
+    extra_env: &[(&str, &str)],
+) -> BTreeMap<usize, String> {
+    run_app(conduit, mode, ranks, args, extra_env).0
 }
 
 fn assert_same_as_loopback(mode: &str, ranks: usize, args: &[&str], conduit: &str) {
@@ -133,7 +148,27 @@ fn assert_same_as_loopback(mode: &str, ranks: usize, args: &[&str], conduit: &st
     );
 }
 
-// ---- CI smoke gate (fast; `make conduit-smoke` filters on `smoke_`) ----
+/// Run `mode` with the race and deadlock checkers on, in-process and as
+/// processes over shm: the checksums must agree, and neither run may
+/// report a finding — the clock stamps riding the wire frames must not
+/// invent races that the in-process run does not have.
+fn assert_checked_same_as_loopback(mode: &str, ranks: usize, args: &[&str], tag: &str) {
+    let check = [("RUPCXX_CHECK", "on")];
+    let (reference, ref_out) = run_app(None, mode, ranks, args, &check);
+    let seg = scratch(tag);
+    let shm = format!("shm:{seg}.seg");
+    let (got, out) = run_app(Some(&shm), mode, ranks, args, &check);
+    let _ = std::fs::remove_file(format!("{seg}.seg"));
+    assert_eq!(reference, got, "checked {mode} over shm diverged");
+    for text in [&ref_out, &out] {
+        assert!(
+            !text.contains("(rupcxx-check)"),
+            "clean {mode} flagged:\n{text}"
+        );
+    }
+}
+
+// ---- Smoke: 2-process GUPS over shm and uds ----
 
 #[test]
 fn smoke_shm_gups_2proc() {
@@ -206,6 +241,39 @@ fn shm_aggregated_gups_matches_loopback() {
         &format!("shm:{seg}.seg"),
     );
     let _ = std::fs::remove_file(format!("{seg}.seg"));
+}
+
+#[test]
+fn checked_shm_aggregated_gups_matches_loopback() {
+    assert_checked_same_as_loopback("gups-agg", 2, &["updates=400", "table=1024"], "check-agg");
+}
+
+#[test]
+fn checked_shm_stencil_matches_loopback() {
+    assert_checked_same_as_loopback("stencil", 2, &[], "check-stencil");
+}
+
+#[test]
+fn race_checker_flags_aggregated_put_across_processes() {
+    // Mirrors check_corpus's race_aggregated_put_vs_unfenced_read, with
+    // the batch and its clock stamp crossing a real process boundary.
+    let seg = scratch("check-race");
+    let (_, out) = run_app(
+        Some(&format!("shm:{seg}.seg")),
+        "race-agg-put",
+        2,
+        &[],
+        &[("RUPCXX_CHECK", "race")],
+    );
+    let _ = std::fs::remove_file(format!("{seg}.seg"));
+    assert!(
+        out.contains("(rupcxx-check) [data-race]"),
+        "expected a race finding:\n{out}"
+    );
+    assert!(
+        out.contains("agg-put"),
+        "the finding must name agg-put:\n{out}"
+    );
 }
 
 #[test]

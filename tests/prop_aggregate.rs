@@ -5,11 +5,12 @@
 //! sequence per rank and ends with exactly the same segment contents as
 //! an unaggregated fabric — including under drop/dup fault injection,
 //! where each batch is one sequenced reliable frame. Failing schedules
-//! are shrunk with `shrink_vec` to a 1-minimal counterexample.
+//! are shrunk with `shrink_vec` to a 1-minimal counterexample. A second
+//! property pins the one wire grammar: every delivered batch is, byte for
+//! byte, the `Am` body the conduit path would send.
 
-use rupcxx_net::{
-    AggConfig, AmPayload, BatchReader, Fabric, FabricConfig, FaultPlan, Frame, GlobalAddr,
-};
+use rupcxx_net::wire::{self, Link, Ops};
+use rupcxx_net::{AggConfig, AmPayload, Fabric, FabricConfig, FaultPlan, GlobalAddr};
 use rupcxx_trace::TraceConfig;
 use rupcxx_util::prop as proptest;
 use rupcxx_util::prop::prelude::*;
@@ -74,11 +75,11 @@ fn drain_rank(f: &Fabric, me: usize) -> Option<Vec<u16>> {
             match m.payload {
                 AmPayload::Handler { id, .. } => got.push(id),
                 AmPayload::Batch { frames, .. } => {
-                    for frame in BatchReader::new(&frames) {
-                        if let Frame::Handler { id, .. } = frame {
+                    for op in Ops::new(&frames) {
+                        if let wire::Op::Handler { id, .. } = op {
                             got.push(id);
                         } else {
-                            f.apply_frame(me, src, clock.as_ref(), &frame);
+                            f.apply_op(me, src, clock.as_ref(), &op, true);
                         }
                     }
                 }
@@ -144,8 +145,59 @@ fn check_or_shrink(agg: AggConfig, faults: Option<FaultPlan>, sched: Vec<Op>) {
     );
 }
 
+/// Every message the batched fabric delivers for `sched` is what the
+/// conduit path sends: `wire::encode_am` carries a batch's slab verbatim
+/// (and a direct handler AM as a one-op body), and the body decodes,
+/// through the decoder the conduit receiver uses, to `count` op frames
+/// that re-encode to the same bytes.
+fn batches_are_am_bodies(agg: &AggConfig, sched: &[Op]) -> bool {
+    let f = fabric(Some(agg.clone()), None);
+    for op in sched {
+        issue(&f, op);
+    }
+    f.flush_agg(0);
+    f.flush_agg(1);
+    let mut frame = Vec::new();
+    for me in 0..2 {
+        for m in f.endpoint(me).drain() {
+            wire::encode_am(&mut frame, &m);
+            let Link::Am { count, body, .. } = wire::decode(&frame) else {
+                return false;
+            };
+            let ops: Vec<wire::Op<'_>> = Ops::new(body).collect();
+            let mut reencoded = Vec::new();
+            for op in &ops {
+                op.encode(&mut reencoded);
+            }
+            let same = match &m.payload {
+                AmPayload::Batch { frames, count: n } => body == &frames[..] && count == *n,
+                AmPayload::Handler { id, args } => ops == [wire::Op::Handler { id: *id, args }],
+                AmPayload::Task(_) => false,
+            };
+            if !same || ops.len() != count as usize || reencoded != body {
+                return false;
+            }
+        }
+    }
+    true
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn flushed_batches_are_conduit_am_bodies(
+        flush_count in 1usize..12,
+        flush_bytes in 32usize..256,
+        sched in proptest::collection::vec(
+            (any::<bool>(), any::<u8>(), 0u16..512, 0u16..512), 1..80),
+    ) {
+        let agg = AggConfig::new().flush_count(flush_count).flush_bytes(flush_bytes);
+        assert!(
+            batches_are_am_bodies(&agg, &sched),
+            "a delivered batch is not the conduit Am body under {agg:?}: {sched:?}"
+        );
+    }
 
     #[test]
     fn aggregated_delivery_equals_unaggregated(
