@@ -7,9 +7,9 @@ CARGO ?= cargo
 # each fully reproducible (see README "Robustness").
 CHAOS_SEEDS ?= 101 202 303
 
-.PHONY: ci fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke
+.PHONY: ci fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke perfbench-check
 
-ci: fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke
+ci: fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke perfbench-check
 
 fmt:
 	$(CARGO) fmt --all --check
@@ -78,3 +78,10 @@ explore-smoke:
 # it to a few seconds.
 conduit-smoke:
 	$(CARGO) test -q --release --test conduit_conformance
+
+# The benchmark gate: perfbench/ is its own Cargo workspace that nothing
+# else builds, so check that it still compiles against the library
+# (same build directory as perfbench/run.py) and run its plumbing tests.
+perfbench-check:
+	CARGO_TARGET_DIR=.bench_build $(CARGO) check --offline --locked --manifest-path perfbench/Cargo.toml
+	python3 -m unittest discover -s perfbench -p 'test_*.py'

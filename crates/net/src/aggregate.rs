@@ -39,7 +39,6 @@ use crate::inbox::{thread_shard, INBOX_SHARDS};
 use crate::wire::{Op, Reply};
 use crate::Rank;
 use rupcxx_check::{AccessKind, Stamp};
-use rupcxx_trace::EventKind;
 use rupcxx_util::sync::SpinMutex;
 use rupcxx_util::{Bytes, SlabPool};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -251,10 +250,7 @@ impl Fabric {
                 std::mem::take(&mut buf.bytes),
             )
         };
-        ep.stats.agg_ops.fetch_add(count as u64, Ordering::Relaxed);
-        ep.stats.agg_batches.fetch_add(1, Ordering::Relaxed);
-        ep.trace
-            .instant(EventKind::BatchFlush, dst as i32, count as u64);
+        self.tel(initiator).batch_flush(dst, count as u64);
         self.send_am(
             initiator,
             dst,

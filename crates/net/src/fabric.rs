@@ -19,11 +19,13 @@ use crate::reliable::{AmChannel, PeerUnreachable};
 use crate::remote::RemoteFabric;
 use crate::schedule::{SchedState, ScheduleConfig};
 use crate::segment::Segment;
-use crate::stats::{CommCounts, CommStats};
 use crate::wire::{self, Op};
 use crate::Rank;
 use rupcxx_check::{AccessKind, CheckConfig, Checker, Stamp};
-use rupcxx_trace::{EventKind, ProfConfig, ProfKind, ProfSpan, ProfState, RankTrace, TraceConfig};
+use rupcxx_trace::{
+    CommCounts, CommStats, EventKind, ProfConfig, ProfKind, ProfSpan, ProfState, RankTrace,
+    Telemetry, TraceConfig, TraceMode,
+};
 use rupcxx_util::sync::Mutex;
 use rupcxx_util::Bytes;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -226,31 +228,36 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        rank: usize,
-        ranks: usize,
-        segment_bytes: usize,
-        trace: &TraceConfig,
-        faulty: bool,
-        agg: Option<&AggConfig>,
-        cache: Option<&CacheConfig>,
-        prof: Option<&ProfConfig>,
-        rma_fast: bool,
-    ) -> Self {
+    fn new(rank: usize, config: &FabricConfig, faulty: bool, rma_fast: bool) -> Self {
+        // In remote mode only the hosted rank is real. Peers are stubs:
+        // zero-sized segments, so any accidental direct access to "their"
+        // segment panics out-of-bounds — a built-in detector for layers
+        // bypassing the conduit — and no trace ring, since only the
+        // hosted rank's events are exported from this process.
+        let stub = matches!(&config.remote, Some(rc) if rank != rc.my_rank);
+        let trace = match config.trace.mode {
+            TraceMode::Events if stub => TraceConfig::metrics(),
+            _ => config.trace.clone(),
+        };
         let stats = CommStats::default();
-        if prof.is_some() {
-            stats.enable_per_dest(ranks);
+        if config.prof.is_some() {
+            stats.enable_per_dest(config.ranks);
         }
         Endpoint {
-            segment: Segment::new(segment_bytes),
+            segment: Segment::new(if stub { 0 } else { config.segment_bytes }),
             inbox: ShardedInbox::new(),
             stats,
-            trace: RankTrace::new(trace),
-            reliable: faulty.then(|| AmChannel::new(ranks)),
-            agg: agg.map(|cfg| AggState::new(ranks, cfg.clone())),
-            cache: cache.map(|cfg| CacheState::new(cfg.clone())),
-            prof: prof.map(|cfg| ProfState::new(rank, cfg)),
+            trace: RankTrace::new(&trace),
+            reliable: faulty.then(|| AmChannel::new(config.ranks)),
+            agg: config
+                .agg
+                .as_ref()
+                .map(|cfg| AggState::new(config.ranks, cfg.clone())),
+            cache: config
+                .cache
+                .as_ref()
+                .map(|cfg| CacheState::new(cfg.clone())),
+            prof: config.prof.as_ref().map(|cfg| ProfState::new(rank, cfg)),
             rma_fast,
         }
     }
@@ -440,7 +447,7 @@ impl Fabric {
     /// Build a fabric per `config`.
     pub fn new(config: FabricConfig) -> Arc<Self> {
         assert!(config.ranks > 0, "fabric needs at least one rank");
-        let faults = config.faults.filter(|p| !p.is_noop());
+        let faults = config.faults.clone().filter(|p| !p.is_noop());
         assert!(
             faults.is_none() || config.schedule.is_none(),
             "fault injection and controlled scheduling are mutually exclusive: \
@@ -461,36 +468,16 @@ impl Fabric {
             .remote
             .as_ref()
             .map(|rc| RemoteFabric::new(rc, config.ranks));
+        // Word-RMA fast path: legal only when nothing can observe or
+        // reroute the access (see `Endpoint::rma_fast`).
+        let rma_fast = config.simnet.is_none()
+            && faults.is_none()
+            && config.check.is_none()
+            && config.remote.is_none()
+            && !config.trace.is_enabled()
+            && config.cache.is_none();
         let endpoints = (0..config.ranks)
-            .map(|rank| {
-                // In remote mode only the hosted rank gets real memory;
-                // peers are zero-sized stubs, so any accidental direct
-                // access to "their" segment panics out-of-bounds — a
-                // built-in detector for layers bypassing the conduit.
-                let seg = match &config.remote {
-                    Some(rc) if rank != rc.my_rank => 0,
-                    _ => config.segment_bytes,
-                };
-                // Word-RMA fast path: legal only when nothing can observe
-                // or reroute the access (see `Endpoint::rma_fast`).
-                let rma_fast = config.simnet.is_none()
-                    && faults.is_none()
-                    && config.check.is_none()
-                    && config.remote.is_none()
-                    && !config.trace.is_enabled()
-                    && config.cache.is_none();
-                Endpoint::new(
-                    rank,
-                    config.ranks,
-                    seg,
-                    &config.trace,
-                    faults.is_some(),
-                    config.agg.as_ref(),
-                    config.cache.as_ref(),
-                    config.prof.as_ref(),
-                    rma_fast,
-                )
-            })
+            .map(|rank| Endpoint::new(rank, &config, faults.is_some(), rma_fast))
             .collect();
         let check = config
             .check
@@ -549,15 +536,16 @@ impl Fabric {
         self.endpoints[initiator].trace.start()
     }
 
-    /// Close an RMA span. Only *remote* operations are recorded, matching
-    /// the way `CommStats` counts `puts`/`gets` — so per-kind trace event
-    /// counts line up with the counters for the same run.
+    /// `rank`'s recording handle: each fact it observes is one call on
+    /// it (see [`Telemetry`]).
     #[inline]
-    fn trace_rma(&self, kind: EventKind, initiator: Rank, target: Rank, bytes: usize, start: u64) {
-        if initiator != target {
-            self.endpoints[initiator]
-                .trace
-                .span(kind, target as i32, bytes as u64, start);
+    pub fn tel(&self, rank: Rank) -> Telemetry<'_> {
+        let ep = &self.endpoints[rank];
+        Telemetry {
+            rank,
+            stats: &ep.stats,
+            trace: &ep.trace,
+            prof: ep.prof.as_ref(),
         }
     }
 
@@ -588,52 +576,6 @@ impl Fabric {
         }
     }
 
-    /// Stats-only accounting for the `rma_fast` word path: exactly the
-    /// counters [`Fabric::count_put`]/[`Fabric::count_get`] would bump
-    /// with every feature off, with no gate probes.
-    #[inline]
-    fn count_word_fast(&self, initiator: Rank, target: Rank, put: bool) {
-        let stats = &self.endpoints[initiator].stats;
-        if initiator == target {
-            stats.local_ops.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let (ops, bytes) = if put {
-                (&stats.puts, &stats.put_bytes)
-            } else {
-                (&stats.gets, &stats.get_bytes)
-            };
-            ops.fetch_add(1, Ordering::Relaxed);
-            bytes.fetch_add(8, Ordering::Relaxed);
-            stats.count_dest(target, 8);
-        }
-    }
-
-    #[inline]
-    fn count_put(&self, initiator: Rank, target: Rank, bytes: usize) {
-        self.rma_gate(initiator, target, bytes);
-        let stats = &self.endpoints[initiator].stats;
-        if initiator == target {
-            stats.local_ops.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.puts.fetch_add(1, Ordering::Relaxed);
-            stats.put_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-            stats.count_dest(target, bytes as u64);
-        }
-    }
-
-    #[inline]
-    fn count_get(&self, initiator: Rank, target: Rank, bytes: usize) {
-        self.rma_gate(initiator, target, bytes);
-        let stats = &self.endpoints[initiator].stats;
-        if initiator == target {
-            stats.local_ops.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.gets.fetch_add(1, Ordering::Relaxed);
-            stats.get_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-            stats.count_dest(target, bytes as u64);
-        }
-    }
-
     /// Write-through invalidation: drop the initiator's own cached lines
     /// covering a span it is about to overwrite, so a rank always reads
     /// its own writes. One untaken branch when the cache is off; local
@@ -642,13 +584,8 @@ impl Fabric {
     pub(crate) fn invalidate_own(&self, initiator: Rank, dst: GlobalAddr, len: usize) {
         if let Some(cache) = &self.endpoints[initiator].cache {
             if dst.rank() != initiator {
-                let n = cache.invalidate_span(dst, len);
-                if n != 0 {
-                    self.endpoints[initiator]
-                        .stats
-                        .cache_invalidations
-                        .fetch_add(n, Ordering::Relaxed);
-                }
+                self.tel(initiator)
+                    .invalidated(cache.invalidate_span(dst, len));
             }
         }
     }
@@ -658,20 +595,15 @@ impl Fabric {
     /// branch when the cache is off.
     pub fn cache_invalidate_sync(&self, rank: Rank) {
         if let Some(cache) = &self.endpoints[rank].cache {
-            let n = cache.invalidate_sync();
-            if n != 0 {
-                self.endpoints[rank]
-                    .stats
-                    .cache_invalidations
-                    .fetch_add(n, Ordering::Relaxed);
-            }
+            self.tel(rank).invalidated(cache.invalidate_sync());
         }
     }
 
     /// Shared prologue of every put-shaped op: trace clock, checker
-    /// record, counters/fault gate, wire charge and write-through cache
+    /// record, fault gate, wire charge and write-through cache
     /// invalidation — one inlined sequence so each off-path feature costs
-    /// a single branch. Returns the trace span start.
+    /// a single branch. Returns the trace span start for the op's
+    /// closing [`Telemetry::rma`] call.
     #[inline]
     fn put_prologue(
         &self,
@@ -683,7 +615,7 @@ impl Fabric {
     ) -> u64 {
         let t0 = self.trace_start(initiator);
         self.check_access(initiator, dst.rank(), dst.offset(), len, kind, op);
-        self.count_put(initiator, dst.rank(), len);
+        self.rma_gate(initiator, dst.rank(), len);
         self.wire(initiator, dst.rank(), len);
         self.invalidate_own(initiator, dst, len);
         t0
@@ -702,7 +634,7 @@ impl Fabric {
             AccessKind::Atomic,
             op,
         );
-        self.count_put(initiator, dst.rank(), 8);
+        self.rma_gate(initiator, dst.rank(), 8);
         self.wire(initiator, dst.rank(), 8);
         self.wire(initiator, dst.rank(), 8);
         self.invalidate_own(initiator, dst, 8);
@@ -722,7 +654,7 @@ impl Fabric {
             AccessKind::Read,
             op,
         );
-        self.count_get(initiator, src.rank(), len);
+        self.rma_gate(initiator, src.rank(), len);
         self.wire(initiator, src.rank(), len);
         t0
     }
@@ -746,7 +678,8 @@ impl Fabric {
                 seg.write_bytes(dst.offset(), data);
             }
         }
-        self.trace_rma(EventKind::Put, initiator, dst.rank(), data.len(), t0);
+        self.tel(initiator)
+            .rma(EventKind::Put, dst.rank(), data.len() as u64, t0);
     }
 
     /// One-sided get: read `buf.len()` bytes from `src`. Aligned 8-byte
@@ -774,7 +707,8 @@ impl Fabric {
                 seg.read_bytes(src.offset(), buf);
             }
         }
-        self.trace_rma(EventKind::Get, initiator, src.rank(), buf.len(), t0);
+        self.tel(initiator)
+            .rma(EventKind::Get, src.rank(), buf.len() as u64, t0);
     }
 
     /// Serve a remote get from the initiator's read cache, one line-sized
@@ -784,8 +718,7 @@ impl Fabric {
     /// requested (at the fill for misses, at the current clock for hits),
     /// never the line padding.
     fn get_cached(&self, initiator: Rank, src: GlobalAddr, buf: &mut [u8]) {
-        let ep = &self.endpoints[initiator];
-        let cache = ep.cache.as_ref().unwrap();
+        let cache = self.endpoints[initiator].cache.as_ref().unwrap();
         // Every rank's segment has the configured size; in remote mode
         // the peer's stub segment here is empty, so ask the config.
         let seg_len = self.seg_bytes;
@@ -804,9 +737,7 @@ impl Fabric {
             let (chunk, rest) = out.split_at_mut(take);
             match cache.lookup(GlobalAddr::new(src.rank(), off), chunk) {
                 Some(fill) => {
-                    ep.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    ep.trace
-                        .instant(EventKind::CacheHit, src.rank() as i32, take as u64);
+                    self.tel(initiator).cache_hit(src.rank(), take as u64);
                     if let Some(ck) = &self.check {
                         // A hit is still a read the program performs now:
                         // record it at the current clock (writes *racing*
@@ -820,7 +751,6 @@ impl Fabric {
                     }
                 }
                 None => {
-                    ep.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
                     // Fill the whole covering line with one fabric get,
                     // but record the checker read for only the bytes the
                     // program asked for: claiming the line's padding
@@ -828,7 +758,7 @@ impl Fabric {
                     // legitimately writing adjacent bytes.
                     let t0 = self.trace_start(initiator);
                     self.check_access(initiator, src.rank(), off, take, AccessKind::Read, "get");
-                    self.count_get(initiator, src.rank(), line_len);
+                    self.rma_gate(initiator, src.rank(), line_len);
                     self.wire(initiator, src.rank(), line_len);
                     let line_addr = GlobalAddr::new(src.rank(), base);
                     let data = if let Some(r) = self.remote_to(src.rank()) {
@@ -844,12 +774,12 @@ impl Fabric {
                             .read_bytes(base, &mut data);
                         data
                     };
-                    self.trace_rma(EventKind::Get, initiator, src.rank(), line_len, t0);
+                    self.tel(initiator)
+                        .rma(EventKind::Get, src.rank(), line_len as u64, t0);
                     chunk.copy_from_slice(&data[off - base..off - base + take]);
                     let fill = self.check.as_ref().map(|ck| ck.send_stamp(initiator));
                     cache.insert(line_addr, data.into_boxed_slice(), fill);
-                    ep.trace
-                        .instant(EventKind::CacheFill, src.rank() as i32, line_len as u64);
+                    self.tel(initiator).cache_fill(src.rank(), line_len as u64);
                 }
             }
             out = rest;
@@ -861,7 +791,7 @@ impl Fabric {
     #[inline]
     pub fn put_u64(&self, initiator: Rank, dst: GlobalAddr, value: u64) {
         if self.endpoints[initiator].rma_fast {
-            self.count_word_fast(initiator, dst.rank(), true);
+            self.tel(initiator).count_rma(EventKind::Put, dst.rank(), 8);
             return self.endpoints[dst.rank()]
                 .segment
                 .store_u64(dst.offset(), value);
@@ -875,7 +805,7 @@ impl Fabric {
                 .segment
                 .store_u64(dst.offset(), value);
         }
-        self.trace_rma(EventKind::Put, initiator, dst.rank(), 8, t0);
+        self.tel(initiator).rma(EventKind::Put, dst.rank(), 8, t0);
     }
 
     /// Aligned 8-byte get (fast path). Like [`Fabric::get`], remote reads
@@ -883,7 +813,7 @@ impl Fabric {
     #[inline]
     pub fn get_u64(&self, initiator: Rank, src: GlobalAddr) -> u64 {
         if self.endpoints[initiator].rma_fast {
-            self.count_word_fast(initiator, src.rank(), false);
+            self.tel(initiator).count_rma(EventKind::Get, src.rank(), 8);
             return self.endpoints[src.rank()].segment.load_u64(src.offset());
         }
         if self.endpoints[initiator].cache.is_some() && src.rank() != initiator {
@@ -904,7 +834,7 @@ impl Fabric {
         } else {
             self.endpoints[src.rank()].segment.load_u64(src.offset())
         };
-        self.trace_rma(EventKind::Get, initiator, src.rank(), 8, t0);
+        self.tel(initiator).rma(EventKind::Get, src.rank(), 8, t0);
         v
     }
 
@@ -912,7 +842,7 @@ impl Fabric {
     #[inline]
     pub fn xor_u64(&self, initiator: Rank, dst: GlobalAddr, value: u64) -> u64 {
         if self.endpoints[initiator].rma_fast {
-            self.count_word_fast(initiator, dst.rank(), true);
+            self.tel(initiator).count_rma(EventKind::Put, dst.rank(), 8);
             return self.endpoints[dst.rank()]
                 .segment
                 .fetch_xor_u64(dst.offset(), value);
@@ -925,7 +855,7 @@ impl Fabric {
                 .segment
                 .fetch_xor_u64(dst.offset(), value)
         };
-        self.trace_rma(EventKind::Put, initiator, dst.rank(), 8, t0);
+        self.tel(initiator).rma(EventKind::Put, dst.rank(), 8, t0);
         v
     }
 
@@ -933,7 +863,7 @@ impl Fabric {
     #[inline]
     pub fn add_u64(&self, initiator: Rank, dst: GlobalAddr, value: u64) -> u64 {
         if self.endpoints[initiator].rma_fast {
-            self.count_word_fast(initiator, dst.rank(), true);
+            self.tel(initiator).count_rma(EventKind::Put, dst.rank(), 8);
             return self.endpoints[dst.rank()]
                 .segment
                 .fetch_add_u64(dst.offset(), value);
@@ -946,7 +876,7 @@ impl Fabric {
                 .segment
                 .fetch_add_u64(dst.offset(), value)
         };
-        self.trace_rma(EventKind::Put, initiator, dst.rank(), 8, t0);
+        self.tel(initiator).rma(EventKind::Put, dst.rank(), 8, t0);
         v
     }
 
@@ -960,7 +890,7 @@ impl Fabric {
         new: u64,
     ) -> Result<u64, u64> {
         if self.endpoints[initiator].rma_fast {
-            self.count_word_fast(initiator, dst.rank(), true);
+            self.tel(initiator).count_rma(EventKind::Put, dst.rank(), 8);
             return self.endpoints[dst.rank()]
                 .segment
                 .cas_u64(dst.offset(), current, new);
@@ -983,7 +913,7 @@ impl Fabric {
                 .segment
                 .cas_u64(dst.offset(), current, new)
         };
-        self.trace_rma(EventKind::Put, initiator, dst.rank(), 8, t0);
+        self.tel(initiator).rma(EventKind::Put, dst.rank(), 8, t0);
         r
     }
 
@@ -1022,7 +952,7 @@ impl Fabric {
                 );
             }
         }
-        self.count_put(initiator, dst.rank(), src.len());
+        self.rma_gate(initiator, dst.rank(), src.len());
         self.wire(initiator, dst.rank(), src.len());
         if nblocks > 0 {
             // Write-through over the covering span: invalidating the gap
@@ -1047,7 +977,8 @@ impl Fabric {
                 );
             }
         }
-        self.trace_rma(EventKind::Put, initiator, dst.rank(), src.len(), t0);
+        self.tel(initiator)
+            .rma(EventKind::Put, dst.rank(), src.len() as u64, t0);
     }
 
     /// Strided (vector) get: the mirror of [`Fabric::put_strided`].
@@ -1078,7 +1009,7 @@ impl Fabric {
                 );
             }
         }
-        self.count_get(initiator, src.rank(), buf.len());
+        self.rma_gate(initiator, src.rank(), buf.len());
         self.wire(initiator, src.rank(), buf.len());
         if let Some(r) = self.remote_to(src.rank()) {
             let op = Op::GetStrided {
@@ -1097,7 +1028,8 @@ impl Fabric {
                 );
             }
         }
-        self.trace_rma(EventKind::Get, initiator, src.rank(), buf.len(), t0);
+        self.tel(initiator)
+            .rma(EventKind::Get, src.rank(), buf.len() as u64, t0);
     }
 
     /// Send an active message to `dst`. FIFO order is preserved per
@@ -1106,10 +1038,10 @@ impl Fabric {
     /// retransmission and receiver-side reordering; otherwise the push
     /// below is FIFO by construction.
     pub fn send_am(&self, initiator: Rank, dst: Rank, payload: AmPayload) {
-        let am_bytes = match &payload {
-            AmPayload::Handler { args, .. } => args.len(),
-            AmPayload::Task(_) => 64, // headers of an opaque task AM
-            AmPayload::Batch { frames, .. } => frames.len(),
+        let (payload_bytes, am_bytes) = match &payload {
+            AmPayload::Handler { args, .. } => (args.len(), args.len()),
+            AmPayload::Task(_) => (0, 64), // headers of an opaque task AM
+            AmPayload::Batch { frames, .. } => (frames.len(), frames.len()),
         };
         // Per-link FIFO across the aggregation layer: frames already
         // buffered for `dst` must reach the wire before this message
@@ -1119,38 +1051,18 @@ impl Fabric {
             self.flush_agg_to(initiator, dst);
         }
         self.wire(initiator, dst, am_bytes);
-        let stats = &self.endpoints[initiator].stats;
-        stats.ams_sent.fetch_add(1, Ordering::Relaxed);
-        match &payload {
-            AmPayload::Handler { args, .. } => {
-                stats
-                    .am_bytes
-                    .fetch_add(args.len() as u64, Ordering::Relaxed);
-            }
-            AmPayload::Batch { frames, .. } => {
-                stats
-                    .am_bytes
-                    .fetch_add(frames.len() as u64, Ordering::Relaxed);
-            }
-            AmPayload::Task(_) => {}
-        }
-        stats.count_dest(dst, am_bytes as u64);
-        self.endpoints[initiator]
-            .trace
-            .instant(EventKind::AmSend, dst as i32, am_bytes as u64);
+        // The causal span (None when the profiler is off) rides the
+        // message: it survives retransmits because the whole message
+        // rides the limbo and lost queues, and aggregation because a batch
+        // is one frame.
+        let prof = self
+            .tel(initiator)
+            .am_send(dst, payload_bytes as u64, am_bytes as u64);
         // The sender's clock snapshot rides the message (None when the
         // checker is off): the receiver joins it before executing the
         // payload, giving the checker the AM happens-before edge — and,
         // for a batch, the flush-time clock its frames are recorded with.
         let clock = self.check.as_ref().map(|ck| ck.send_stamp(initiator));
-        // Likewise the causal span (None when the profiler is off): it
-        // survives retransmits because the whole message rides the limbo
-        // and lost queues, and aggregation because a batch is one frame.
-        let prof = self.endpoints[initiator].prof.as_ref().map(|p| {
-            let span = p.alloc_span();
-            p.record_send(span, dst as i32);
-            span
-        });
         let msg = AmMessage {
             src: initiator,
             payload,
@@ -1222,7 +1134,7 @@ impl Fabric {
     /// stream (no-op when the profiler is off).
     pub(crate) fn prof_unreachable(&self, initiator: Rank, dst: Rank, attempts: u64) {
         if let Some(p) = &self.endpoints[initiator].prof {
-            p.record_instant(ProfKind::Unreachable, dst as i32, attempts);
+            p.record_instant(ProfKind::Unreachable, 0, dst as i32, attempts);
         }
     }
 
@@ -1253,6 +1165,21 @@ impl std::fmt::Debug for Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counters_never_share_a_128_byte_block_with_the_segment() {
+        use std::mem::{align_of, offset_of, size_of};
+        // Endpoints start on 128-byte boundaries, so these offsets are
+        // the fields' positions within 128-byte blocks of memory.
+        assert_eq!(align_of::<Endpoint>() % 128, 0);
+        let blocks = |start: usize, len: usize| start / 128..=(start + len - 1) / 128;
+        let seg = blocks(offset_of!(Endpoint, segment), size_of::<Segment>());
+        let stats = blocks(offset_of!(Endpoint, stats), size_of::<CommStats>());
+        assert!(
+            seg.end() < stats.start() || stats.end() < seg.start(),
+            "segment blocks {seg:?} overlap counter blocks {stats:?}"
+        );
+    }
 
     fn fabric(ranks: usize) -> Arc<Fabric> {
         Fabric::new(FabricConfig {

@@ -32,7 +32,6 @@ pub mod reliable;
 pub(crate) mod remote;
 pub mod schedule;
 pub mod segment;
-pub mod stats;
 pub mod wire;
 
 pub use aggregate::AggConfig;
@@ -47,13 +46,12 @@ pub use inbox::{ShardedInbox, INBOX_SHARDS};
 pub use pod::Pod;
 pub use reliable::PeerUnreachable;
 pub use rupcxx_check::{CheckConfig, Checker};
-pub use rupcxx_trace::{ProfConfig, ProfState};
+pub use rupcxx_trace::{CommCounts, CommStats, PerDestStats, ProfConfig, ProfState};
 pub use schedule::{
     new_recorder, DeliveryRecord, RecordLog, SchedCounts, Schedule, ScheduleConfig,
     ScheduleRecorder,
 };
 pub use segment::Segment;
-pub use stats::{CommCounts, CommStats, PerDestStats};
 
 /// A rank id (SPMD execution-unit index), `0..ranks()`.
 pub type Rank = usize;

@@ -36,7 +36,6 @@
 use crate::fabric::{AmMessage, Fabric};
 use crate::faults::{decide, Fate, FaultPlan};
 use crate::Rank;
-use rupcxx_trace::EventKind;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -190,13 +189,7 @@ impl Fabric {
         let src = msg.src;
         match decide(plan, src, dst, seq, attempt) {
             Fate::Drop => {
-                self.endpoints[src]
-                    .stats
-                    .wire_drops
-                    .fetch_add(1, Ordering::Relaxed);
-                self.endpoints[src]
-                    .trace
-                    .instant(EventKind::WireDrop, dst as i32, 0);
+                self.tel(src).wire_drop(dst);
                 if attempt + 1 >= plan.max_attempts {
                     // Budget exhausted: abandon the frame and fail the
                     // job visibly rather than retrying forever.
@@ -251,13 +244,7 @@ impl Fabric {
         msg: Option<AmMessage>,
     ) {
         if link.already_seen(seq) {
-            self.endpoints[dst]
-                .stats
-                .dup_arrivals
-                .fetch_add(1, Ordering::Relaxed);
-            self.endpoints[dst]
-                .trace
-                .instant(EventKind::AmDup, src as i32, 0);
+            self.tel(dst).dup(src);
             return;
         }
         let msg = msg.expect("duplicate wire copy escaped the dedup window");
@@ -271,10 +258,7 @@ impl Fabric {
             }
         } else {
             // A predecessor is still in limbo or lost: park in order.
-            self.endpoints[dst]
-                .stats
-                .reorders
-                .fetch_add(1, Ordering::Relaxed);
+            self.tel(dst).reorder();
             link.ooo.insert(seq, msg);
         }
     }
@@ -318,19 +302,10 @@ impl Fabric {
             link.lost = keep;
             due.sort_by_key(|f| f.seq);
             for f in due {
-                self.endpoints[src]
-                    .stats
-                    .retransmits
-                    .fetch_add(1, Ordering::Relaxed);
-                self.endpoints[src]
-                    .trace
-                    .instant(EventKind::AmRetransmit, me as i32, 0);
-                if let Some(p) = &self.endpoints[src].prof {
-                    // The frame's span rides its message, so the profiler
-                    // ties the retransmit back to the original injection.
-                    let span = f.msg.prof.map_or(0, |s| s.id);
-                    p.record_retransmit(span, me as i32, f.attempt as u64);
-                }
+                // The frame's span rides its message, so the profiler ties
+                // the retransmit back to the original injection.
+                let span = f.msg.prof.map_or(0, |s| s.id);
+                self.tel(src).retransmit(me, span, f.attempt as u64);
                 self.offer(&mut link, plan, me, f.seq, f.msg, f.attempt);
                 work += 1;
             }
@@ -407,11 +382,8 @@ impl Fabric {
                 // modeled failure; anything delivered is done.
                 Fate::Deliver { .. } => return,
                 Fate::Drop => {
-                    let stats = &self.endpoints[initiator].stats;
-                    stats.wire_drops.fetch_add(1, Ordering::Relaxed);
-                    self.endpoints[initiator]
-                        .trace
-                        .instant(EventKind::WireDrop, target as i32, 0);
+                    let tel = self.tel(initiator);
+                    tel.wire_drop(target);
                     attempt += 1;
                     if attempt >= plan.max_attempts {
                         let e = PeerUnreachable {
@@ -423,17 +395,9 @@ impl Fabric {
                         self.mark_unreachable(e);
                         panic!("{e}");
                     }
-                    stats.retransmits.fetch_add(1, Ordering::Relaxed);
-                    self.endpoints[initiator].trace.instant(
-                        EventKind::AmRetransmit,
-                        target as i32,
-                        0,
-                    );
-                    if let Some(p) = &self.endpoints[initiator].prof {
-                        // RMA ops carry no wire span (they are synchronous);
-                        // span 0 marks an initiator-side inline retry.
-                        p.record_retransmit(0, target as i32, attempt as u64);
-                    }
+                    // RMA ops carry no wire span (they are synchronous);
+                    // span 0 marks an initiator-side inline retry.
+                    tel.retransmit(target, 0, attempt as u64);
                     // The retry traverses the wire again.
                     self.wire(initiator, target, bytes);
                 }

@@ -105,6 +105,12 @@ impl Fabric {
         self.remote.is_some()
     }
 
+    /// The one rank this process hosts in a multi-process job (None
+    /// in-process, where every rank is local).
+    pub fn hosted_rank(&self) -> Option<Rank> {
+        self.remote.as_ref().map(|r| r.me)
+    }
+
     /// The conduit backend name, if a conduit is installed.
     pub fn conduit_name(&self) -> Option<&'static str> {
         self.remote.as_ref().map(|r| r.conduit.name())

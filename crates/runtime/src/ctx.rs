@@ -351,9 +351,8 @@ impl Ctx {
                 me = self.rank,
             );
             // Remote allocation is mediated by the owner in the paper (an
-            // AM round trip); account for that message pair.
-            let stats = &self.shared.fabric.endpoint(self.rank).stats;
-            stats.ams_sent.fetch_add(2, Ordering::Relaxed);
+            // AM round trip); record that message pair.
+            self.record_round_trip(rank);
         }
         let offset = self.shared.allocators[rank].lock().alloc(bytes)?;
         Ok(GlobalAddr::new(rank, offset))
@@ -370,12 +369,20 @@ impl Ctx {
                 addr.rank(),
                 self.rank,
             );
-            let stats = &self.shared.fabric.endpoint(self.rank).stats;
-            stats.ams_sent.fetch_add(2, Ordering::Relaxed);
+            self.record_round_trip(addr.rank());
         }
         self.shared.allocators[addr.rank()]
             .lock()
             .free(addr.offset());
+    }
+
+    /// Record the request/reply AM pair of an owner-mediated operation
+    /// on `rank`'s segment.
+    fn record_round_trip(&self, rank: Rank) {
+        let tel = self.shared.fabric.tel(self.rank);
+        for _ in 0..2 {
+            tel.am_send(rank, 0, 0);
+        }
     }
 
     /// Bytes currently allocated in `rank`'s segment.

@@ -39,7 +39,7 @@ pub use finish::FinishScope;
 pub use lock::GlobalLock;
 pub use proc::{spmd_procs, ProcOutcome};
 pub use shared::{HandlerFn, HandlerId, HandlerRegistry, Shared};
-pub use spmd::{spmd, spmd_with_handlers};
+pub use spmd::{spmd, spmd_with_handlers, trace_summary};
 pub use team::Team;
 
 pub use rupcxx_net::{ConduitSel, Rank, SimNet};

@@ -1,11 +1,9 @@
 //! Process-wide state shared by all rank threads of one SPMD job.
 
 use crate::alloc::SegAllocator;
-use rupcxx_net::{
-    AggConfig, CacheConfig, CheckConfig, Fabric, FabricConfig, FaultPlan, Rank, RemoteConfig,
-    ScheduleConfig, SimNet,
-};
-use rupcxx_trace::{ProfConfig, TraceConfig};
+use crate::config::RuntimeConfig;
+use rupcxx_net::{Fabric, FabricConfig, Rank, RemoteConfig};
+use rupcxx_trace::TraceConfig;
 use rupcxx_util::sync::Mutex;
 use rupcxx_util::Bytes;
 use std::collections::HashMap;
@@ -146,78 +144,35 @@ pub struct Shared {
 
 impl Shared {
     /// Build shared state for `ranks` ranks with `segment_bytes` segments.
+    /// Tracing is taken from the `RUPCXX_TRACE` environment (see
+    /// `rupcxx-trace`); every other layer is off.
     pub fn new(ranks: usize, segment_bytes: usize, handlers: HandlerRegistry) -> Arc<Self> {
-        Self::new_with(ranks, segment_bytes, None, handlers)
-    }
-
-    /// Like [`Shared::new`], with an optional synthetic wire. Tracing is
-    /// taken from the `RUPCXX_TRACE` environment (see `rupcxx-trace`).
-    pub fn new_with(
-        ranks: usize,
-        segment_bytes: usize,
-        simnet: Option<SimNet>,
-        handlers: HandlerRegistry,
-    ) -> Arc<Self> {
-        Self::new_traced(
+        let config = RuntimeConfig {
             ranks,
             segment_bytes,
-            simnet,
-            handlers,
-            TraceConfig::from_env(),
-        )
+            progress_thread: false,
+            simnet: None,
+            trace: TraceConfig::from_env(),
+            faults: None,
+            agg: None,
+            check: None,
+            cache: None,
+            prof: None,
+            schedule: None,
+            conduit: None,
+        };
+        Self::from_config(&config, handlers, None)
     }
 
-    /// Like [`Shared::new_with`], with an explicit trace configuration
-    /// (the SPMD launcher passes `RuntimeConfig::trace` through here).
-    pub fn new_traced(
-        ranks: usize,
-        segment_bytes: usize,
-        simnet: Option<SimNet>,
-        handlers: HandlerRegistry,
-        trace: TraceConfig,
-    ) -> Arc<Self> {
-        Self::new_full(
-            ranks,
-            segment_bytes,
-            simnet,
-            handlers,
-            trace,
-            None,
-            None,
-            None,
-            None,
-            None,
-            None,
-            None,
-        )
-    }
-
-    /// The full constructor: [`Shared::new_traced`] plus an optional
-    /// deterministic fault-injection plan (see `rupcxx-net`'s `faults`
-    /// module), optional per-destination aggregation thresholds (its
-    /// `aggregate` module), an optional race/deadlock checker config
-    /// (`rupcxx-check`), an optional software read-cache config (its
-    /// `cache` module), an optional causal-profiler config
-    /// (`rupcxx-trace`'s `span` module) and an optional controlled
-    /// delivery schedule (its `schedule` module); the SPMD launcher
-    /// passes `RuntimeConfig::{faults, agg, check, cache, prof,
-    /// schedule}` through. When `remote` is set this process is ONE rank
-    /// of a multi-process job wired up by a transport conduit; the
-    /// runtime's wire-encodable builtin handlers are appended to the
-    /// registry (after all user handlers, so user ids are stable).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_full(
-        ranks: usize,
-        segment_bytes: usize,
-        simnet: Option<SimNet>,
+    /// Build shared state per `config`: its rank count, segment size and
+    /// every layer it enables (the conduit selection aside — that is
+    /// `remote`). When `remote` is set this process is ONE rank of a
+    /// multi-process job wired up by a transport conduit; the runtime's
+    /// wire-encodable builtin handlers are appended to the registry
+    /// (after all user handlers, so user ids are stable).
+    pub fn from_config(
+        config: &RuntimeConfig,
         mut handlers: HandlerRegistry,
-        trace: TraceConfig,
-        faults: Option<FaultPlan>,
-        agg: Option<AggConfig>,
-        check: Option<CheckConfig>,
-        cache: Option<CacheConfig>,
-        prof: Option<ProfConfig>,
-        schedule: Option<ScheduleConfig>,
         remote: Option<RemoteConfig>,
     ) -> Arc<Self> {
         let builtins = remote.is_some().then(|| {
@@ -232,23 +187,24 @@ impl Shared {
             });
             Builtins { deposit, complete }
         });
+        let ranks = config.ranks;
         let fabric = Fabric::new(FabricConfig {
             ranks,
-            segment_bytes,
-            simnet,
-            trace,
-            faults,
-            agg,
-            check,
-            cache,
-            prof,
-            schedule,
+            segment_bytes: config.segment_bytes,
+            simnet: config.simnet,
+            trace: config.trace.clone(),
+            faults: config.faults.clone(),
+            agg: config.agg.clone(),
+            check: config.check.clone(),
+            cache: config.cache.clone(),
+            prof: config.prof.clone(),
+            schedule: config.schedule.clone(),
             remote,
         });
         Arc::new(Shared {
             fabric,
             allocators: (0..ranks)
-                .map(|_| Mutex::new(SegAllocator::new(segment_bytes)))
+                .map(|_| Mutex::new(SegAllocator::new(config.segment_bytes)))
                 .collect(),
             mailboxes: (0..ranks).map(|_| Mailbox::default()).collect(),
             coll_seq: (0..ranks).map(|_| AtomicU64::new(0)).collect(),

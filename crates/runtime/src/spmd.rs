@@ -9,7 +9,9 @@
 use crate::config::RuntimeConfig;
 use crate::ctx::Ctx;
 use crate::shared::{HandlerRegistry, Shared};
-use rupcxx_trace::{critpath, MetricsSnapshot, RankProf, TraceEvent, WaitState};
+use rupcxx_net::{Fabric, Rank};
+use rupcxx_trace::{critpath, RankProf, TraceEvent, TraceMode, WaitState};
+use rupcxx_util::Table;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,20 +43,7 @@ where
     F: Fn(&Ctx) -> R + Send + Sync,
 {
     assert!(config.ranks > 0, "spmd needs at least one rank");
-    let shared = Shared::new_full(
-        config.ranks,
-        config.segment_bytes,
-        config.simnet,
-        handlers,
-        config.trace.clone(),
-        config.faults.clone(),
-        config.agg.clone(),
-        config.check.clone(),
-        config.cache.clone(),
-        config.prof.clone(),
-        config.schedule.clone(),
-        None,
-    );
+    let shared = Shared::from_config(&config, handlers, None);
     let body = &body;
     let progress_stop = std::sync::atomic::AtomicBool::new(false);
     let progress_stop = &progress_stop;
@@ -133,7 +122,8 @@ where
 pub(crate) fn export_prof(config: &RuntimeConfig, shared: &Shared) {
     let Some(prof_cfg) = &config.prof else { return };
     let ranks = shared.ranks();
-    let per_rank: Vec<RankProf> = (0..ranks)
+    let per_rank: Vec<RankProf> = exported_ranks(&shared.fabric)
+        .into_iter()
         .filter_map(|r| {
             shared.fabric.prof(r).map(|p| RankProf {
                 rank: r,
@@ -167,8 +157,8 @@ pub(crate) fn export_prof(config: &RuntimeConfig, shared: &Shared) {
             retx_ns as f64 / 1e6
         );
     }
-    let path = prof_cfg.path();
-    match std::fs::write(path, report.to_json()) {
+    let path = export_path(&shared.fabric, prof_cfg.path());
+    match std::fs::write(&path, report.to_json()) {
         Ok(()) => println!("[profile written {path}]"),
         Err(e) => eprintln!("(could not write profile {path}: {e})"),
     }
@@ -185,6 +175,39 @@ pub(crate) fn export_check(shared: &Shared) {
     }
 }
 
+/// The ranks whose telemetry this process exports: every rank of an
+/// in-process job, only the hosted rank of a multi-process one (the
+/// others are stubs here and export from their own processes).
+fn exported_ranks(fabric: &Fabric) -> Vec<Rank> {
+    match fabric.hosted_rank() {
+        Some(me) => vec![me],
+        None => (0..fabric.ranks()).collect(),
+    }
+}
+
+/// `path` as this process writes it: with the hosted rank in the file
+/// name in a multi-process job, so the ranks' exports never overwrite
+/// each other.
+fn export_path(fabric: &Fabric, path: &str) -> String {
+    match fabric.hosted_rank() {
+        Some(me) => rupcxx_trace::suffixed_path(path, &format!("rank{me}")),
+        None => path.to_string(),
+    }
+}
+
+/// The trace summary table printed at job teardown: one row per
+/// exported rank from its metrics and counter snapshots.
+pub fn trace_summary(fabric: &Fabric) -> Table {
+    let rows: Vec<_> = exported_ranks(fabric)
+        .into_iter()
+        .map(|r| {
+            let ep = fabric.endpoint(r);
+            (r, ep.trace.snapshot(), ep.stats.snapshot())
+        })
+        .collect();
+    rupcxx_trace::summary_table(&rows)
+}
+
 /// Chrome-trace files already written by this process (suffixes the path
 /// of every traced job after the first).
 static TRACE_JOBS: AtomicU64 = AtomicU64::new(0);
@@ -193,31 +216,30 @@ static TRACE_JOBS: AtomicU64 = AtomicU64::new(0);
 /// events mode, write the Chrome `trace_event` JSON. All ranks have
 /// joined by now, so the rings and histograms are quiescent.
 pub(crate) fn export_trace(config: &RuntimeConfig, shared: &Shared) {
-    if !shared.fabric.endpoint(0).trace.enabled() {
+    if !config.trace.is_enabled() {
         return;
     }
-    let ranks = shared.ranks();
-    let metrics: Vec<(usize, MetricsSnapshot)> = (0..ranks)
-        .map(|r| (r, shared.fabric.endpoint(r).trace.metrics.snapshot()))
-        .collect();
-    println!("\n== rupcxx trace summary ({ranks} ranks) ==");
-    print!("{}", rupcxx_trace::summary_table(&metrics).render());
-    if !shared.fabric.endpoint(0).trace.events_enabled() {
+    let fabric = &shared.fabric;
+    println!("\n== rupcxx trace summary ({} ranks) ==", shared.ranks());
+    print!("{}", trace_summary(fabric).render());
+    if config.trace.mode != TraceMode::Events {
         return;
     }
-    let per_rank: Vec<(usize, Vec<TraceEvent>)> = (0..ranks)
-        .map(|r| (r, shared.fabric.endpoint(r).trace.events()))
+    let ranks = exported_ranks(fabric);
+    let per_rank: Vec<(usize, Vec<TraceEvent>)> = ranks
+        .iter()
+        .map(|&r| (r, fabric.endpoint(r).trace.events()))
         .collect();
     let total: usize = per_rank.iter().map(|(_, e)| e.len()).sum();
     let (mut pushed, mut dropped) = (0u64, 0u64);
-    for r in 0..ranks {
-        if let Some(ring) = shared.fabric.endpoint(r).trace.ring() {
+    for &r in &ranks {
+        if let Some(ring) = fabric.endpoint(r).trace.ring() {
             pushed += ring.pushed();
             dropped += ring.dropped();
         }
     }
     let n = TRACE_JOBS.fetch_add(1, Ordering::Relaxed);
-    let path = config.trace.numbered_path(n);
+    let path = export_path(fabric, &config.trace.numbered_path(n));
     match rupcxx_trace::write_chrome_trace(&path, &per_rank) {
         Ok(()) => {
             let mut notes = String::new();

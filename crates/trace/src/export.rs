@@ -8,6 +8,7 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::ring::TraceEvent;
+use crate::telemetry::CommCounts;
 use rupcxx_util::table::fnum;
 use rupcxx_util::Table;
 use std::fmt::Write as _;
@@ -89,10 +90,11 @@ pub fn write_chrome_trace(
     std::fs::write(path, chrome_trace_json(per_rank))
 }
 
-/// Build the per-rank metrics summary table (plus an `all` aggregate row
-/// when more than one rank is given). Latencies are histogram-bound
-/// percentiles in microseconds.
-pub fn summary_table(rows: &[(usize, MetricsSnapshot)]) -> Table {
+/// Build the per-rank summary table from each rank's metrics and counter
+/// snapshots (plus an `all` aggregate row when more than one rank is
+/// given). Latencies are histogram-bound percentiles in microseconds;
+/// the fault and cache-hit columns are the counters.
+pub fn summary_table(rows: &[(usize, MetricsSnapshot, CommCounts)]) -> Table {
     let mut t = Table::new([
         "rank",
         "puts",
@@ -116,7 +118,7 @@ pub fn summary_table(rows: &[(usize, MetricsSnapshot)]) -> Table {
         "events",
         "evlost",
     ]);
-    let mut add_row = |label: String, m: &MetricsSnapshot| {
+    let mut add_row = |label: String, m: &MetricsSnapshot, c: &CommCounts| {
         t.row([
             label,
             m.put_ns.count.to_string(),
@@ -130,24 +132,25 @@ pub fn summary_table(rows: &[(usize, MetricsSnapshot)]) -> Table {
             format!("{:.1}", m.poll_work_ratio() * 100.0),
             m.queue_depth.p99().to_string(),
             m.msg_bytes.p50().to_string(),
-            m.retransmits.to_string(),
-            m.wire_drops.to_string(),
-            m.dup_arrivals.to_string(),
+            c.retransmits.to_string(),
+            c.wire_drops.to_string(),
+            c.dup_arrivals.to_string(),
             m.batch_frames.count.to_string(),
             m.batch_frames.p50().to_string(),
             m.cache_fill_bytes.count.to_string(),
-            format!("{:.1}", m.cache_hit_ratio() * 100.0),
+            format!("{:.1}", c.cache_hit_ratio() * 100.0),
             m.ring_pushed.to_string(),
             m.ring_lost.to_string(),
         ]);
     };
-    let mut total = MetricsSnapshot::default();
-    for (rank, m) in rows {
-        add_row(rank.to_string(), m);
+    let (mut total, mut total_counts) = (MetricsSnapshot::default(), CommCounts::default());
+    for (rank, m, c) in rows {
+        add_row(rank.to_string(), m, c);
         total = total.merged(m);
+        total_counts = total_counts.merged(c);
     }
     if rows.len() > 1 {
-        add_row("all".to_string(), &total);
+        add_row("all".to_string(), &total, &total_counts);
     }
     t
 }
@@ -226,10 +229,10 @@ mod tests {
         for _ in 0..10 {
             t.instant(EventKind::AmSend, 1, 8);
         }
-        let m = t.metrics_snapshot();
+        let m = t.snapshot();
         assert_eq!(m.ring_pushed, 10);
         assert_eq!(m.ring_lost, 6);
-        let rendered = summary_table(&[(0, m)]).render();
+        let rendered = summary_table(&[(0, m, CommCounts::default())]).render();
         assert!(rendered.contains("events"));
         assert!(rendered.contains("evlost"));
         let row = rendered.lines().last().unwrap();
@@ -242,12 +245,15 @@ mod tests {
         let m = MetricsSnapshot {
             advance_polls: 10,
             advance_work: 5,
+            ..Default::default()
+        };
+        let c = CommCounts {
             retransmits: 3,
             wire_drops: 4,
             dup_arrivals: 2,
             ..Default::default()
         };
-        let t = summary_table(&[(0, m), (1, m)]);
+        let t = summary_table(&[(0, m, c), (1, m, c)]);
         assert_eq!(t.len(), 3); // rank 0, rank 1, all
         let rendered = t.render();
         assert!(rendered.contains("all"));
@@ -269,11 +275,12 @@ mod tests {
     fn summary_reports_cache_hit_rate() {
         let live = crate::metrics::Metrics::default();
         live.cache_fill_bytes.record(256);
-        live.cache_misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        live.cache_hits
-            .fetch_add(3, std::sync::atomic::Ordering::Relaxed);
-        let t = summary_table(&[(0, live.snapshot())]);
+        let c = CommCounts {
+            cache_hits: 3,
+            cache_misses: 1,
+            ..Default::default()
+        };
+        let t = summary_table(&[(0, live.snapshot(), c)]);
         let rendered = t.render();
         let row = rendered.lines().last().unwrap();
         assert!(row.contains("75.0"), "hit%% column: {row}");
@@ -285,7 +292,7 @@ mod tests {
         for frames in [4u64, 16, 64] {
             live.batch_frames.record(frames);
         }
-        let t = summary_table(&[(0, live.snapshot())]);
+        let t = summary_table(&[(0, live.snapshot(), CommCounts::default())]);
         let rendered = t.render();
         assert!(rendered.contains("batches"));
         // 3 batches flushed; the p50 bound of {4,16,64} is the upper

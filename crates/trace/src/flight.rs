@@ -44,9 +44,6 @@ fn format_event(rank: usize, e: &ProfEvent) -> String {
         ProfKind::BarrierExit => {
             let _ = write!(line, " epoch={}", e.a);
         }
-        ProfKind::Flush => {
-            let _ = write!(line, " frames={}", e.a);
-        }
         _ => {}
     }
     line

@@ -1,16 +1,18 @@
-//! `rupcxx-trace` — structured tracing and metrics for the PGAS stack.
+//! `rupcxx-trace` — the telemetry crate of the PGAS stack.
 //!
 //! The paper's evaluation (Figs. 4–8) depends on knowing exactly what
 //! communication each construct generates. This crate provides the
 //! observability layer the rest of the workspace hooks into:
 //!
+//! * the per-rank traffic counters ([`CommStats`]) and the one recording
+//!   call per observable fact ([`Telemetry`]), which feeds everything
+//!   below from the same place;
 //! * a lock-free per-rank ring of timestamped [`TraceEvent`]s
 //!   ([`EventRing`]) covering puts/gets, active messages, async tasks,
 //!   barrier/finish/event waits and lock acquires;
 //! * a metrics registry ([`Metrics`]) of log₂-bucketed histograms
 //!   ([`Log2Histogram`]) — op latency, message size, `advance()`
-//!   poll-to-work ratio, task-queue depth — snapshotted like
-//!   `CommStats::snapshot()`;
+//!   poll-to-work ratio, task-queue depth;
 //! * exporters: Chrome `trace_event` JSON (for `chrome://tracing` /
 //!   Perfetto) and a per-rank table summary.
 //!
@@ -28,6 +30,7 @@ pub mod histogram;
 pub mod metrics;
 pub mod ring;
 pub mod span;
+pub mod telemetry;
 pub mod waitstate;
 
 pub use clock::now_ns;
@@ -37,6 +40,7 @@ pub use histogram::{HistogramSnapshot, Log2Histogram};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use ring::{EventKind, EventRing, TraceEvent};
 pub use span::{ProfConfig, ProfEvent, ProfKind, ProfSpan, ProfState};
+pub use telemetry::{CommCounts, CommStats, PerDestStats, Telemetry};
 pub use waitstate::{WaitConstruct, WaitState, WaitStats, WaitStatsSnapshot};
 
 /// What the trace layer records.
@@ -165,11 +169,17 @@ impl TraceConfig {
         if n == 0 {
             base.to_string()
         } else {
-            match base.rsplit_once('.') {
-                Some((stem, ext)) => format!("{stem}.{n}.{ext}"),
-                None => format!("{base}.{n}"),
-            }
+            suffixed_path(base, &n.to_string())
         }
+    }
+}
+
+/// `path` with `.{suffix}` inserted before its extension (appended when
+/// it has none): `t.json` + `rank1` = `t.rank1.json`.
+pub fn suffixed_path(path: &str, suffix: &str) -> String {
+    match path.rsplit_once('.') {
+        Some((stem, ext)) => format!("{stem}.{suffix}.{ext}"),
+        None => format!("{path}.{suffix}"),
     }
 }
 
@@ -180,8 +190,7 @@ impl TraceConfig {
 pub struct RankTrace {
     mode: TraceMode,
     ring: Option<EventRing>,
-    /// Histograms and progress counters for this rank.
-    pub metrics: Metrics,
+    metrics: Metrics,
 }
 
 impl Default for RankTrace {
@@ -247,45 +256,8 @@ impl RankTrace {
         if self.mode == TraceMode::Off {
             return;
         }
-        self.span_slow(kind, peer, bytes, start_ns);
-    }
-
-    #[cold]
-    fn span_slow(&self, kind: EventKind, peer: i32, bytes: u64, start_ns: u64) {
-        let dur = now_ns().saturating_sub(start_ns);
-        match kind {
-            EventKind::Put => {
-                self.metrics.put_ns.record(dur);
-                self.metrics.msg_bytes.record(bytes);
-            }
-            EventKind::Get => {
-                self.metrics.get_ns.record(dur);
-                self.metrics.msg_bytes.record(bytes);
-            }
-            EventKind::AmHandle => self.metrics.am_handle_ns.record(dur),
-            EventKind::Advance => self.metrics.advance_ns.record(dur),
-            EventKind::Barrier => self.metrics.barrier_ns.record(dur),
-            EventKind::EventWait | EventKind::FinishWait => self.metrics.wait_ns.record(dur),
-            EventKind::LockAcquire => self.metrics.lock_ns.record(dur),
-            EventKind::AmSend
-            | EventKind::TaskSpawn
-            | EventKind::AmRetransmit
-            | EventKind::WireDrop
-            | EventKind::AmDup
-            | EventKind::BatchFlush
-            | EventKind::CacheFill
-            | EventKind::CacheHit => {}
-        }
-        if let Some(ring) = &self.ring {
-            ring.push(TraceEvent {
-                seq: 0,
-                ts_ns: start_ns,
-                dur_ns: dur,
-                bytes,
-                peer,
-                kind,
-            });
-        }
+        let dur_ns = now_ns().saturating_sub(start_ns);
+        self.record(kind, peer, bytes, start_ns, dur_ns);
     }
 
     /// Record an instantaneous event (AM send, task spawn). No-op when
@@ -295,37 +267,47 @@ impl RankTrace {
         if self.mode == TraceMode::Off {
             return;
         }
-        self.instant_slow(kind, peer, bytes);
+        self.record(kind, peer, bytes, now_ns(), 0);
     }
 
+    /// Feed the event's histogram, then the ring. `bytes` is a size for
+    /// puts, gets, AM sends and cache fills, and a frame count for batch
+    /// flushes.
     #[cold]
-    fn instant_slow(&self, kind: EventKind, peer: i32, bytes: u64) {
-        use std::sync::atomic::Ordering;
+    fn record(&self, kind: EventKind, peer: i32, bytes: u64, ts_ns: u64, dur_ns: u64) {
+        let m = &self.metrics;
         match kind {
-            EventKind::AmSend => self.metrics.msg_bytes.record(bytes),
-            EventKind::AmRetransmit => {
-                self.metrics.retransmits.fetch_add(1, Ordering::Relaxed);
+            EventKind::Put => {
+                m.put_ns.record(dur_ns);
+                m.msg_bytes.record(bytes);
             }
-            EventKind::WireDrop => {
-                self.metrics.wire_drops.fetch_add(1, Ordering::Relaxed);
+            EventKind::Get => {
+                m.get_ns.record(dur_ns);
+                m.msg_bytes.record(bytes);
             }
-            EventKind::AmDup => {
-                self.metrics.dup_arrivals.fetch_add(1, Ordering::Relaxed);
-            }
-            // `bytes` carries the batch's frame count (occupancy).
-            EventKind::BatchFlush => self.metrics.batch_frames.record(bytes),
-            // `bytes` carries the line fill size; each fill is one miss.
-            EventKind::CacheFill => {
-                self.metrics.cache_fill_bytes.record(bytes);
-                self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::CacheHit => {
-                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
+            EventKind::AmSend => m.msg_bytes.record(bytes),
+            EventKind::AmHandle => m.am_handle_ns.record(dur_ns),
+            EventKind::Advance => m.advance_ns.record(dur_ns),
+            EventKind::Barrier => m.barrier_ns.record(dur_ns),
+            EventKind::EventWait | EventKind::FinishWait => m.wait_ns.record(dur_ns),
+            EventKind::LockAcquire => m.lock_ns.record(dur_ns),
+            EventKind::BatchFlush => m.batch_frames.record(bytes),
+            EventKind::CacheFill => m.cache_fill_bytes.record(bytes),
+            EventKind::TaskSpawn
+            | EventKind::AmRetransmit
+            | EventKind::WireDrop
+            | EventKind::AmDup
+            | EventKind::CacheHit => {}
         }
         if let Some(ring) = &self.ring {
-            ring.push_instant(kind, peer, bytes);
+            ring.push(TraceEvent {
+                seq: 0,
+                ts_ns,
+                dur_ns,
+                bytes,
+                peer,
+                kind,
+            });
         }
     }
 
@@ -355,10 +337,9 @@ impl RankTrace {
         self.ring.as_ref().map(|r| r.snapshot()).unwrap_or_default()
     }
 
-    /// Metrics snapshot with the ring's push/loss accounting filled in,
-    /// so exporters can surface overflow (`Metrics::snapshot` alone
-    /// leaves `ring_pushed`/`ring_lost` at 0 — the ring lives here).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+    /// Point-in-time copy of the metrics, with the ring's push/loss
+    /// accounting filled in so exporters can surface overflow.
+    pub fn snapshot(&self) -> MetricsSnapshot {
         let mut m = self.metrics.snapshot();
         if let Some(ring) = &self.ring {
             m.ring_pushed = ring.pushed();
@@ -382,7 +363,7 @@ mod tests {
         t.instant(EventKind::AmSend, 1, 8);
         t.poll(3, 2);
         assert!(t.events().is_empty());
-        let m = t.metrics.snapshot();
+        let m = t.snapshot();
         assert_eq!(m.put_ns.count, 0);
         assert_eq!(m.msg_bytes.count, 0);
         assert_eq!(m.advance_polls, 0);
@@ -396,7 +377,7 @@ mod tests {
         let s = t.start();
         t.span(EventKind::Get, 2, 64, s);
         assert!(t.events().is_empty());
-        let m = t.metrics.snapshot();
+        let m = t.snapshot();
         assert_eq!(m.get_ns.count, 1);
         assert_eq!(m.msg_bytes.count, 1);
     }
@@ -415,15 +396,13 @@ mod tests {
         t.instant(EventKind::WireDrop, 1, 0);
         t.instant(EventKind::WireDrop, 1, 0);
         t.instant(EventKind::AmDup, 1, 0);
-        let m = t.metrics.snapshot();
-        assert_eq!(m.retransmits, 1);
-        assert_eq!(m.wire_drops, 2);
-        assert_eq!(m.dup_arrivals, 1);
+        let m = t.snapshot();
+        assert_eq!((m.ring_pushed, m.ring_lost), (6, 0));
         assert_eq!(t.events().len(), 6);
         assert_eq!(evs[0].kind, EventKind::Put);
         assert_eq!(evs[0].peer, 1);
         assert_eq!(evs[1].kind, EventKind::TaskSpawn);
-        assert_eq!(t.metrics.snapshot().advance_polls, 1);
+        assert_eq!(t.snapshot().advance_polls, 1);
     }
 
     #[test]
@@ -431,7 +410,7 @@ mod tests {
         let t = RankTrace::new(&TraceConfig::events().with_ring_capacity(16));
         t.instant(EventKind::BatchFlush, 1, 48);
         t.instant(EventKind::BatchFlush, 2, 64);
-        let m = t.metrics.snapshot();
+        let m = t.snapshot();
         assert_eq!(m.batch_frames.count, 2);
         assert_eq!(m.batch_frames.max, 64);
         let evs = t.events();
@@ -442,19 +421,16 @@ mod tests {
     }
 
     #[test]
-    fn cache_instants_feed_fill_histogram_and_hit_counters() {
+    fn cache_instants_feed_fill_histogram() {
         let t = RankTrace::new(&TraceConfig::events().with_ring_capacity(16));
         t.instant(EventKind::CacheFill, 1, 256);
         t.instant(EventKind::CacheFill, 1, 64);
         t.instant(EventKind::CacheHit, 1, 8);
         t.instant(EventKind::CacheHit, 2, 8);
         t.instant(EventKind::CacheHit, 1, 8);
-        let m = t.metrics.snapshot();
+        let m = t.snapshot();
         assert_eq!(m.cache_fill_bytes.count, 2);
         assert_eq!(m.cache_fill_bytes.max, 256);
-        assert_eq!(m.cache_misses, 2);
-        assert_eq!(m.cache_hits, 3);
-        assert!((m.cache_hit_ratio() - 0.6).abs() < 1e-9);
         let evs = t.events();
         assert_eq!(evs.len(), 5);
         assert_eq!(evs[0].kind, EventKind::CacheFill);
@@ -476,6 +452,8 @@ mod tests {
         let d = TraceConfig::events();
         assert_eq!(d.numbered_path(0), DEFAULT_TRACE_PATH);
         assert_eq!(d.numbered_path(1), "rupcxx_trace.1.json");
+        assert_eq!(suffixed_path("t.json", "rank1"), "t.rank1.json");
+        assert_eq!(suffixed_path("trace", "rank0"), "trace.rank0");
     }
 
     #[test]

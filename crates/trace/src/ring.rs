@@ -1,6 +1,6 @@
-//! A lock-free, fixed-capacity ring buffer of trace events.
+//! A lock-free, fixed-capacity ring buffer of events.
 //!
-//! One ring per rank. The common case is a single writer (the rank
+//! One ring per rank and stream. The common case is a single writer (the rank
 //! thread), but concurrent mode adds a progress worker with the same rank
 //! id, so writes must be thread-safe: a writer claims a slot with a
 //! global `fetch_add` (which doubles as the event's monotonic sequence
@@ -9,8 +9,8 @@
 //! a writer that lags a full ring behind. Readers only run at export time
 //! and retry torn slots, so the hot path never blocks.
 
-use crate::clock::now_ns;
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What happened. Spans carry a duration; instants have `dur_ns == 0`.
@@ -129,43 +129,60 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-impl TraceEvent {
-    const ZERO: TraceEvent = TraceEvent {
-        seq: 0,
-        ts_ns: 0,
-        dur_ns: 0,
-        bytes: 0,
-        peer: -1,
-        kind: EventKind::Put,
-    };
+impl RingEvent for TraceEvent {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+    fn set_seq(&mut self, seq: u64) {
+        self.seq = seq;
+    }
 }
 
-struct Slot {
+/// An event a [`Ring`] can hold: plain data carrying the claim sequence
+/// number the ring stamps on it.
+pub trait RingEvent: Copy {
+    /// The claim sequence number.
+    fn seq(&self) -> u64;
+    /// Stamp the claim sequence number.
+    fn set_seq(&mut self, seq: u64);
+}
+
+struct Slot<E> {
     /// Seqlock version: odd while a writer owns the slot; `version / 2`
     /// is the number of completed writes.
     version: AtomicU64,
-    event: UnsafeCell<TraceEvent>,
+    /// Initialized once `version` has reached 2.
+    event: UnsafeCell<MaybeUninit<E>>,
 }
 
-/// The per-rank ring buffer.
-pub struct EventRing {
-    slots: Box<[Slot]>,
+/// A bounded seqlock ring of events: the trace stream ([`EventRing`]) and
+/// the profiler's causal stream (`ProfState::ring`) are both one.
+pub struct Ring<E> {
+    slots: Box<[Slot<E>]>,
     claim: AtomicU64,
     dropped: AtomicU64,
 }
 
-// Slots are published via the per-slot seqlock protocol.
-unsafe impl Sync for EventRing {}
+/// The per-rank trace event ring.
+pub type EventRing = Ring<TraceEvent>;
 
-impl EventRing {
+// SAFETY: `claim` and `dropped` are atomics. A slot's event is written only
+// by the one writer that moved its `version` from even to odd with a CAS,
+// and published by the Release store of the next even version; readers copy
+// it only while the version is even and nonzero (so at least one write has
+// completed and the value is initialized) and discard the copy unless the
+// version is unchanged afterwards. Events are `Copy` plain data and cross
+// threads by value, hence the `Send` bound.
+unsafe impl<E: RingEvent + Send> Sync for Ring<E> {}
+
+impl<E: RingEvent> Ring<E> {
     /// A ring holding up to `capacity` events (rounded up to at least 2).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(2);
-        EventRing {
-            slots: (0..capacity)
+        Ring {
+            slots: (0..capacity.max(2))
                 .map(|_| Slot {
                     version: AtomicU64::new(0),
-                    event: UnsafeCell::new(TraceEvent::ZERO),
+                    event: UnsafeCell::new(MaybeUninit::uninit()),
                 })
                 .collect(),
             claim: AtomicU64::new(0),
@@ -196,9 +213,9 @@ impl EventRing {
 
     /// Record an event, stamping its sequence number. Lock-free.
     #[inline]
-    pub fn push(&self, mut ev: TraceEvent) {
+    pub fn push(&self, mut ev: E) {
         let seq = self.claim.fetch_add(1, Ordering::Relaxed);
-        ev.seq = seq;
+        ev.set_seq(seq);
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
         let v = slot.version.load(Ordering::Acquire);
         if v & 1 == 1
@@ -212,63 +229,42 @@ impl EventRing {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        unsafe { *slot.event.get() = ev };
+        // SAFETY: the CAS above made this thread the slot's only writer
+        // until the store below; readers discard what they copy meanwhile.
+        unsafe { (*slot.event.get()).write(ev) };
         slot.version.store(v + 2, Ordering::Release);
-    }
-
-    /// Record a span ending now.
-    #[inline]
-    pub fn push_span(&self, kind: EventKind, peer: i32, bytes: u64, start_ns: u64) {
-        let end = now_ns();
-        self.push(TraceEvent {
-            seq: 0,
-            ts_ns: start_ns,
-            dur_ns: end.saturating_sub(start_ns),
-            bytes,
-            peer,
-            kind,
-        });
-    }
-
-    /// Record an instantaneous event.
-    #[inline]
-    pub fn push_instant(&self, kind: EventKind, peer: i32, bytes: u64) {
-        self.push(TraceEvent {
-            seq: 0,
-            ts_ns: now_ns(),
-            dur_ns: 0,
-            bytes,
-            peer,
-            kind,
-        });
     }
 
     /// Copy out the surviving events, oldest first. Torn slots (a writer
     /// was mid-flight) are skipped. Intended for export at quiescence.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
+    pub fn snapshot(&self) -> Vec<E> {
         let mut out = Vec::new();
         for slot in self.slots.iter() {
             let v0 = slot.version.load(Ordering::Acquire);
             if v0 == 0 || v0 & 1 == 1 {
                 continue; // never written, or write in flight
             }
+            // SAFETY: an even nonzero version means a write completed, so
+            // the slot is initialized; the value is used only if no writer
+            // started while it was copied.
             let ev = unsafe { *slot.event.get() };
             if slot.version.load(Ordering::Acquire) != v0 {
                 continue; // torn read
             }
-            out.push(ev);
+            // SAFETY: as above — the copy is of an initialized event.
+            out.push(unsafe { ev.assume_init() });
         }
-        out.sort_unstable_by_key(|e| e.seq);
+        out.sort_unstable_by_key(|e| e.seq());
         out
     }
 }
 
-impl std::fmt::Debug for EventRing {
+impl<E> std::fmt::Debug for Ring<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventRing")
-            .field("capacity", &self.capacity())
-            .field("pushed", &self.pushed())
-            .field("dropped", &self.dropped())
+        f.debug_struct("Ring")
+            .field("capacity", &self.slots.len())
+            .field("pushed", &self.claim.load(Ordering::Relaxed))
+            .field("dropped", &self.dropped.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -276,6 +272,7 @@ impl std::fmt::Debug for EventRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::now_ns;
 
     fn ev(kind: EventKind, bytes: u64) -> TraceEvent {
         TraceEvent {

@@ -17,8 +17,8 @@
 //! when `RUPCXX_PROF` is unset.
 
 use crate::clock::now_ns;
+use crate::ring::{Ring, RingEvent};
 use crate::waitstate::WaitStats;
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default per-rank profiler ring capacity (events).
@@ -59,8 +59,6 @@ pub enum ProfKind {
     BarrierExit,
     /// The reliable layer retransmitted a frame (`a` = attempt number).
     Retransmit,
-    /// An aggregation buffer was flushed (`a` = frames in the batch).
-    Flush,
     /// A peer was declared unreachable (`peer` = the dead destination).
     Unreachable,
 }
@@ -74,7 +72,6 @@ impl ProfKind {
             ProfKind::Wait => "wait",
             ProfKind::BarrierExit => "barrier_exit",
             ProfKind::Retransmit => "retransmit",
-            ProfKind::Flush => "flush",
             ProfKind::Unreachable => "unreachable",
         }
     }
@@ -99,106 +96,12 @@ pub struct ProfEvent {
     pub kind: ProfKind,
 }
 
-impl ProfEvent {
-    const ZERO: ProfEvent = ProfEvent {
-        seq: 0,
-        ts_ns: 0,
-        dur_ns: 0,
-        span: 0,
-        peer: -1,
-        a: 0,
-        kind: ProfKind::Send,
-    };
-}
-
-struct ProfSlot {
-    /// Seqlock version: odd while a writer owns the slot.
-    version: AtomicU64,
-    event: UnsafeCell<ProfEvent>,
-}
-
-/// Bounded seqlock ring of [`ProfEvent`]s — same protocol as
-/// [`crate::ring::EventRing`], but carrying span ids.
-pub struct ProfRing {
-    slots: Box<[ProfSlot]>,
-    claim: AtomicU64,
-    dropped: AtomicU64,
-}
-
-// Slots are published via the per-slot seqlock protocol.
-unsafe impl Sync for ProfRing {}
-
-impl ProfRing {
-    /// A ring holding up to `capacity` events (rounded up to at least 2).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(2);
-        ProfRing {
-            slots: (0..capacity)
-                .map(|_| ProfSlot {
-                    version: AtomicU64::new(0),
-                    event: UnsafeCell::new(ProfEvent::ZERO),
-                })
-                .collect(),
-            claim: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
+impl RingEvent for ProfEvent {
+    fn seq(&self) -> u64 {
+        self.seq
     }
-
-    /// Capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total events ever pushed.
-    pub fn pushed(&self) -> u64 {
-        self.claim.load(Ordering::Relaxed)
-    }
-
-    /// Record an event, stamping its sequence number. Lock-free.
-    #[inline]
-    pub fn push(&self, mut ev: ProfEvent) {
-        let seq = self.claim.fetch_add(1, Ordering::Relaxed);
-        ev.seq = seq;
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-        let v = slot.version.load(Ordering::Acquire);
-        if v & 1 == 1
-            || slot
-                .version
-                .compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        unsafe { *slot.event.get() = ev };
-        slot.version.store(v + 2, Ordering::Release);
-    }
-
-    /// Copy out surviving events, oldest first (torn slots skipped).
-    pub fn snapshot(&self) -> Vec<ProfEvent> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            let v0 = slot.version.load(Ordering::Acquire);
-            if v0 == 0 || v0 & 1 == 1 {
-                continue;
-            }
-            let ev = unsafe { *slot.event.get() };
-            if slot.version.load(Ordering::Acquire) != v0 {
-                continue;
-            }
-            out.push(ev);
-        }
-        out.sort_unstable_by_key(|e| e.seq);
-        out
-    }
-}
-
-impl std::fmt::Debug for ProfRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProfRing")
-            .field("capacity", &self.capacity())
-            .field("pushed", &self.pushed())
-            .finish()
+    fn set_seq(&mut self, seq: u64) {
+        self.seq = seq;
     }
 }
 
@@ -275,13 +178,11 @@ pub struct ProfState {
     /// Next span counter (combined with the rank for the wire id).
     next_span: AtomicU64,
     /// The causal event stream (critical path + flight recorder).
-    pub ring: ProfRing,
+    pub ring: Ring<ProfEvent>,
     /// Injection timestamp of the newest remote span joined here.
     pub last_inject_ns: AtomicU64,
     /// Remote spans joined on this rank (messages absorbed).
     pub msgs_joined: AtomicU64,
-    /// Frames this rank has seen retransmitted (as sender or initiator).
-    pub retransmits: AtomicU64,
     /// Wait-state histograms, per construct and per state.
     pub waits: WaitStats,
     /// Total barrier episode time, ns (the attribution denominator).
@@ -297,37 +198,26 @@ impl ProfState {
         ProfState {
             rank,
             next_span: AtomicU64::new(1),
-            ring: ProfRing::new(config.ring_capacity.unwrap_or(DEFAULT_PROF_RING)),
+            ring: Ring::new(config.ring_capacity.unwrap_or(DEFAULT_PROF_RING)),
             last_inject_ns: AtomicU64::new(0),
             msgs_joined: AtomicU64::new(0),
-            retransmits: AtomicU64::new(0),
             waits: WaitStats::new(),
             barrier_total_ns: AtomicU64::new(0),
             barrier_epoch: AtomicU64::new(0),
         }
     }
 
-    /// Allocate a wire span for a frame this rank is injecting now.
+    /// Allocate the wire span of a frame this rank injects towards `dst`
+    /// now, and record the injection.
     #[inline]
-    pub fn alloc_span(&self) -> ProfSpan {
+    pub fn record_send(&self, dst: i32) -> ProfSpan {
         let n = self.next_span.fetch_add(1, Ordering::Relaxed);
-        ProfSpan {
+        let span = ProfSpan {
             id: ((self.rank as u64) << 48) | (n & ((1u64 << 48) - 1)),
             inject_ns: now_ns(),
-        }
-    }
-
-    /// Record a frame injection (call with the span from [`alloc_span`]).
-    pub fn record_send(&self, span: ProfSpan, dst: i32) {
-        self.ring.push(ProfEvent {
-            seq: 0,
-            ts_ns: span.inject_ns,
-            dur_ns: 0,
-            span: span.id,
-            peer: dst,
-            a: 0,
-            kind: ProfKind::Send,
-        });
+        };
+        self.push(ProfKind::Send, span.inject_ns, span.id, dst, 0);
+        span
     }
 
     /// Join an arriving span to this rank: the receive is causally tied
@@ -336,39 +226,20 @@ impl ProfState {
         self.last_inject_ns
             .fetch_max(span.inject_ns, Ordering::Relaxed);
         self.msgs_joined.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(ProfEvent {
-            seq: 0,
-            ts_ns: now_ns(),
-            dur_ns: 0,
-            span: span.id,
-            peer: span.origin() as i32,
-            a: 0,
-            kind: ProfKind::Recv,
-        });
+        self.record_instant(ProfKind::Recv, span.id, span.origin() as i32, 0);
     }
 
-    /// Record a retransmission of `span` (0 = unknown) towards `dst` on
-    /// transmission attempt `attempt`.
-    pub fn record_retransmit(&self, span: u64, dst: i32, attempt: u64) {
-        self.retransmits.fetch_add(1, Ordering::Relaxed);
+    /// Record an instantaneous event of any kind (`span` 0 = none).
+    pub fn record_instant(&self, kind: ProfKind, span: u64, peer: i32, a: u64) {
+        self.push(kind, now_ns(), span, peer, a);
+    }
+
+    fn push(&self, kind: ProfKind, ts_ns: u64, span: u64, peer: i32, a: u64) {
         self.ring.push(ProfEvent {
             seq: 0,
-            ts_ns: now_ns(),
+            ts_ns,
             dur_ns: 0,
             span,
-            peer: dst,
-            a: attempt,
-            kind: ProfKind::Retransmit,
-        });
-    }
-
-    /// Record an instantaneous event of any kind.
-    pub fn record_instant(&self, kind: ProfKind, peer: i32, a: u64) {
-        self.ring.push(ProfEvent {
-            seq: 0,
-            ts_ns: now_ns(),
-            dur_ns: 0,
-            span: 0,
             peer,
             a,
             kind,
@@ -380,15 +251,7 @@ impl ProfState {
         self.barrier_total_ns
             .fetch_add(episode_ns, Ordering::Relaxed);
         let epoch = self.barrier_epoch.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(ProfEvent {
-            seq: 0,
-            ts_ns: now_ns(),
-            dur_ns: 0,
-            span: 0,
-            peer: -1,
-            a: epoch,
-            kind: ProfKind::BarrierExit,
-        });
+        self.record_instant(ProfKind::BarrierExit, 0, -1, epoch);
         epoch
     }
 }
@@ -401,10 +264,10 @@ mod tests {
     fn span_id_packs_origin() {
         let cfg = ProfConfig::on();
         let p = ProfState::new(3, &cfg);
-        let s = p.alloc_span();
+        let s = p.record_send(1);
         assert_eq!(s.origin(), 3);
         assert!(s.inject_ns > 0);
-        let s2 = p.alloc_span();
+        let s2 = p.record_send(2);
         assert_ne!(s.id, s2.id);
         assert_eq!(s2.origin(), 3);
     }
@@ -414,8 +277,7 @@ mod tests {
         let cfg = ProfConfig::on();
         let a = ProfState::new(0, &cfg);
         let b = ProfState::new(1, &cfg);
-        let span = a.alloc_span();
-        a.record_send(span, 1);
+        let span = a.record_send(1);
         b.record_recv(span);
         assert_eq!(b.msgs_joined.load(Ordering::Relaxed), 1);
         assert_eq!(b.last_inject_ns.load(Ordering::Relaxed), span.inject_ns);
@@ -431,7 +293,7 @@ mod tests {
         let cfg = ProfConfig::on().with_ring_capacity(8);
         let p = ProfState::new(0, &cfg);
         for i in 0..20u64 {
-            p.record_instant(ProfKind::Flush, -1, i);
+            p.record_instant(ProfKind::Retransmit, 0, -1, i);
         }
         let evs = p.ring.snapshot();
         assert_eq!(evs.len(), 8);

@@ -1,10 +1,20 @@
-//! Per-endpoint communication counters.
+//! The per-rank telemetry model: one counter table, one call per fact.
 //!
-//! Every fabric operation is counted at the initiating endpoint. The
-//! reproduction harnesses read these counts to (a) sanity-check benchmark
-//! communication volumes and (b) feed the `rupcxx-perfmodel` projections
-//! (message counts × modeled per-message cost at paper-scale machines).
+//! Every observable fact a rank produces is recorded by one [`Telemetry`]
+//! method: put, get, local op, AM send, batch flush, wire drop,
+//! retransmit, duplicate, reorder, cache hit, cache fill and
+//! invalidation. The method bumps the fact's single counter in
+//! [`CommStats`]; only when tracing or profiling is on does it also feed
+//! the metrics histograms, the trace ring and the profiler ring.
+//!
+//! The reproduction harnesses read the counters to (a) sanity-check
+//! benchmark communication volumes and (b) feed the `rupcxx-perfmodel`
+//! projections (message counts × modeled per-message cost at paper-scale
+//! machines).
 
+use crate::ring::EventKind;
+use crate::span::{ProfKind, ProfSpan, ProfState};
+use crate::RankTrace;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -27,87 +37,126 @@ impl PerDestStats {
     }
 }
 
-/// Live, thread-safe counters for one endpoint.
-#[derive(Debug, Default)]
-pub struct CommStats {
-    /// Remote puts initiated.
-    pub puts: AtomicU64,
+/// Declares the counter list once: the live [`CommStats`] table, its
+/// [`CommCounts`] snapshot, and the snapshot, clear, equality and
+/// element-wise arithmetic over every counter.
+macro_rules! counters {
+    ($($(#[$meta:meta])* $name:ident,)*) => {
+        /// Live, thread-safe counters for one endpoint.
+        ///
+        /// Aligned to 128 bytes (a prefetched cache-line pair) so the
+        /// owner's per-op counter writes never share a block with the
+        /// endpoint fields peers read on every remote op, such as the
+        /// segment pointer.
+        #[derive(Debug, Default)]
+        #[repr(align(128))]
+        pub struct CommStats {
+            $($(#[$meta])* pub $name: AtomicU64,)*
+            /// Completed [`CommStats::reset`] calls (see that method's
+            /// caveats).
+            epoch: AtomicU64,
+            /// Per-destination accounting (unset unless the profiler
+            /// enabled it).
+            per_dest: OnceLock<PerDestStats>,
+        }
+
+        /// A point-in-time copy of [`CommStats`].
+        ///
+        /// Equality compares the traffic counters only — the bookkeeping
+        /// `epoch` is excluded, so snapshots of identical traffic compare
+        /// equal across resets.
+        #[derive(Clone, Copy, Debug, Default)]
+        pub struct CommCounts {
+            $($(#[$meta])* pub $name: u64,)*
+            /// Reset epoch of the endpoint at snapshot time (see
+            /// [`CommStats::epoch`]). Not part of equality.
+            pub epoch: u64,
+        }
+
+        impl CommStats {
+            /// Snapshot the counters (including the reset epoch, so the
+            /// snapshot can later serve as a [`CommStats::delta_since`]
+            /// baseline).
+            pub fn snapshot(&self) -> CommCounts {
+                CommCounts {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    epoch: self.epoch.load(Ordering::Acquire),
+                }
+            }
+
+            fn clear(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)*
+            }
+        }
+
+        impl CommCounts {
+            /// `f` applied to each counter pair, stamped with `epoch`.
+            fn zip(&self, other: &CommCounts, epoch: u64, f: fn(u64, u64) -> u64) -> CommCounts {
+                CommCounts {
+                    $($name: f(self.$name, other.$name),)*
+                    epoch,
+                }
+            }
+        }
+
+        impl PartialEq for CommCounts {
+            fn eq(&self, other: &Self) -> bool {
+                true $(&& self.$name == other.$name)*
+            }
+        }
+    };
+}
+
+counters! {
+    /// Remote puts initiated (remote atomics included).
+    puts,
     /// Bytes written by remote puts.
-    pub put_bytes: AtomicU64,
+    put_bytes,
     /// Remote gets initiated.
-    pub gets: AtomicU64,
+    gets,
     /// Bytes read by remote gets.
-    pub get_bytes: AtomicU64,
+    get_bytes,
     /// Active messages sent.
-    pub ams_sent: AtomicU64,
+    ams_sent,
     /// Payload bytes in active messages sent.
-    pub am_bytes: AtomicU64,
+    am_bytes,
     /// Active messages executed locally (received + handled).
-    pub ams_handled: AtomicU64,
+    ams_handled,
     /// Operations that resolved to local memory (no communication).
-    pub local_ops: AtomicU64,
+    local_ops,
     /// Frames retransmitted by the reliable AM layer (initiator side).
     /// Nonzero only under fault injection (`RUPCXX_FAULTS`).
-    pub retransmits: AtomicU64,
+    retransmits,
     /// Transmission attempts lost on the wire by the fault plan
     /// (initiator side). Every wire drop costs one retransmit, so at
     /// quiescence `retransmits == wire_drops` unless a peer was declared
     /// unreachable.
-    pub wire_drops: AtomicU64,
+    wire_drops,
     /// Duplicate frame arrivals discarded by the dedup window (receiver
     /// side).
-    pub dup_arrivals: AtomicU64,
+    dup_arrivals,
     /// Frames that arrived ahead of a predecessor and were parked in the
     /// receiver's reorder buffer before in-order release (receiver side).
-    pub reorders: AtomicU64,
+    reorders,
     /// Logical fine-grained operations absorbed by the per-destination
     /// aggregation layer (initiator side). Nonzero only when aggregation
     /// is enabled (`RUPCXX_AGG`) *and* the op was remote.
-    pub agg_ops: AtomicU64,
+    agg_ops,
     /// Wire frames (batches) the aggregation layer actually injected;
     /// each batch is one active message carrying `agg_ops / agg_batches`
     /// logical operations on average (initiator side).
-    pub agg_batches: AtomicU64,
+    agg_batches,
     /// Remote gets served from this rank's software read cache without
     /// touching the fabric. Nonzero only with `RUPCXX_CACHE` enabled.
-    pub cache_hits: AtomicU64,
+    cache_hits,
     /// Remote gets that missed the read cache and filled a whole line
     /// through one fabric get.
-    pub cache_misses: AtomicU64,
+    cache_misses,
     /// Cached lines dropped by write-through or sync-point invalidation.
-    pub cache_invalidations: AtomicU64,
-    /// Completed [`CommStats::reset`] calls (see that method's caveats).
-    epoch: AtomicU64,
-    /// Per-destination accounting (unset unless the profiler enabled it).
-    per_dest: OnceLock<PerDestStats>,
+    cache_invalidations,
 }
 
 impl CommStats {
-    /// Snapshot the counters (including the reset epoch, so the snapshot
-    /// can later serve as a [`CommStats::delta_since`] baseline).
-    pub fn snapshot(&self) -> CommCounts {
-        CommCounts {
-            puts: self.puts.load(Ordering::Relaxed),
-            put_bytes: self.put_bytes.load(Ordering::Relaxed),
-            gets: self.gets.load(Ordering::Relaxed),
-            get_bytes: self.get_bytes.load(Ordering::Relaxed),
-            ams_sent: self.ams_sent.load(Ordering::Relaxed),
-            am_bytes: self.am_bytes.load(Ordering::Relaxed),
-            ams_handled: self.ams_handled.load(Ordering::Relaxed),
-            local_ops: self.local_ops.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            wire_drops: self.wire_drops.load(Ordering::Relaxed),
-            dup_arrivals: self.dup_arrivals.load(Ordering::Relaxed),
-            reorders: self.reorders.load(Ordering::Relaxed),
-            agg_ops: self.agg_ops.load(Ordering::Relaxed),
-            agg_batches: self.agg_batches.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
-            epoch: self.epoch.load(Ordering::Acquire),
-        }
-    }
-
     /// Reset all counters to zero.
     ///
     /// **Semantics:** the counters are cleared one at a time with relaxed
@@ -119,23 +168,7 @@ impl CommStats {
     /// *without* resetting — immune to this race by construction — take a
     /// baseline [`CommStats::snapshot`] and use [`CommStats::delta_since`].
     pub fn reset(&self) {
-        self.puts.store(0, Ordering::Relaxed);
-        self.put_bytes.store(0, Ordering::Relaxed);
-        self.gets.store(0, Ordering::Relaxed);
-        self.get_bytes.store(0, Ordering::Relaxed);
-        self.ams_sent.store(0, Ordering::Relaxed);
-        self.am_bytes.store(0, Ordering::Relaxed);
-        self.ams_handled.store(0, Ordering::Relaxed);
-        self.local_ops.store(0, Ordering::Relaxed);
-        self.retransmits.store(0, Ordering::Relaxed);
-        self.wire_drops.store(0, Ordering::Relaxed);
-        self.dup_arrivals.store(0, Ordering::Relaxed);
-        self.reorders.store(0, Ordering::Relaxed);
-        self.agg_ops.store(0, Ordering::Relaxed);
-        self.agg_batches.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_invalidations.store(0, Ordering::Relaxed);
+        self.clear();
         if let Some(pd) = self.per_dest.get() {
             for d in pd.ops.iter().chain(pd.bytes.iter()) {
                 d.store(0, Ordering::Relaxed);
@@ -154,7 +187,7 @@ impl CommStats {
     /// Count one initiated operation of `bytes` towards `dst`. One
     /// untaken branch when per-destination accounting is off.
     #[inline]
-    pub fn count_dest(&self, dst: usize, bytes: u64) {
+    fn count_dest(&self, dst: usize, bytes: u64) {
         if let Some(pd) = self.per_dest.get() {
             pd.ops[dst].fetch_add(1, Ordering::Relaxed);
             pd.bytes[dst].fetch_add(bytes, Ordering::Relaxed);
@@ -196,74 +229,6 @@ impl CommStats {
     }
 }
 
-/// A point-in-time copy of [`CommStats`].
-///
-/// Equality compares the traffic counters only — the bookkeeping `epoch`
-/// is excluded, so snapshots of identical traffic compare equal across
-/// resets.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CommCounts {
-    /// Remote puts initiated.
-    pub puts: u64,
-    /// Bytes written by remote puts.
-    pub put_bytes: u64,
-    /// Remote gets initiated.
-    pub gets: u64,
-    /// Bytes read by remote gets.
-    pub get_bytes: u64,
-    /// Active messages sent.
-    pub ams_sent: u64,
-    /// Payload bytes in active messages sent.
-    pub am_bytes: u64,
-    /// Active messages executed locally.
-    pub ams_handled: u64,
-    /// Operations resolved locally.
-    pub local_ops: u64,
-    /// Frames retransmitted by the reliable AM layer.
-    pub retransmits: u64,
-    /// Transmission attempts lost on the wire by the fault plan.
-    pub wire_drops: u64,
-    /// Duplicate arrivals discarded by the dedup window.
-    pub dup_arrivals: u64,
-    /// Out-of-order arrivals parked before in-order release.
-    pub reorders: u64,
-    /// Logical fine-grained operations absorbed by the aggregation layer.
-    pub agg_ops: u64,
-    /// Wire frames (batches) the aggregation layer injected for them.
-    pub agg_batches: u64,
-    /// Remote gets served from the software read cache.
-    pub cache_hits: u64,
-    /// Remote gets that missed the read cache and filled a line.
-    pub cache_misses: u64,
-    /// Cached lines dropped by write-through or sync-point invalidation.
-    pub cache_invalidations: u64,
-    /// Reset epoch of the endpoint at snapshot time (see
-    /// [`CommStats::epoch`]). Not part of equality.
-    pub epoch: u64,
-}
-
-impl PartialEq for CommCounts {
-    fn eq(&self, other: &Self) -> bool {
-        self.puts == other.puts
-            && self.put_bytes == other.put_bytes
-            && self.gets == other.gets
-            && self.get_bytes == other.get_bytes
-            && self.ams_sent == other.ams_sent
-            && self.am_bytes == other.am_bytes
-            && self.ams_handled == other.ams_handled
-            && self.local_ops == other.local_ops
-            && self.retransmits == other.retransmits
-            && self.wire_drops == other.wire_drops
-            && self.dup_arrivals == other.dup_arrivals
-            && self.reorders == other.reorders
-            && self.agg_ops == other.agg_ops
-            && self.agg_batches == other.agg_batches
-            && self.cache_hits == other.cache_hits
-            && self.cache_misses == other.cache_misses
-            && self.cache_invalidations == other.cache_invalidations
-    }
-}
-
 impl Eq for CommCounts {}
 
 impl CommCounts {
@@ -277,54 +242,150 @@ impl CommCounts {
         self.put_bytes + self.get_bytes + self.am_bytes
     }
 
+    /// Fraction of cached remote gets served without touching the fabric
+    /// (`hits / (hits + misses)`; 0 when the cache saw no traffic).
+    pub fn cache_hit_ratio(&self) -> f64 {
+        let total = self.cache_hits + self.cache_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.cache_hits as f64 / total as f64
+        }
+    }
+
     /// Element-wise difference (`self - earlier`), for measuring a phase.
     /// Both snapshots must come from the same epoch (no intervening
     /// `reset()`), otherwise the subtraction underflows.
     pub fn since(&self, earlier: &CommCounts) -> CommCounts {
-        CommCounts {
-            epoch: self.epoch,
-            puts: self.puts - earlier.puts,
-            put_bytes: self.put_bytes - earlier.put_bytes,
-            gets: self.gets - earlier.gets,
-            get_bytes: self.get_bytes - earlier.get_bytes,
-            ams_sent: self.ams_sent - earlier.ams_sent,
-            am_bytes: self.am_bytes - earlier.am_bytes,
-            ams_handled: self.ams_handled - earlier.ams_handled,
-            local_ops: self.local_ops - earlier.local_ops,
-            retransmits: self.retransmits - earlier.retransmits,
-            wire_drops: self.wire_drops - earlier.wire_drops,
-            dup_arrivals: self.dup_arrivals - earlier.dup_arrivals,
-            reorders: self.reorders - earlier.reorders,
-            agg_ops: self.agg_ops - earlier.agg_ops,
-            agg_batches: self.agg_batches - earlier.agg_batches,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            cache_invalidations: self.cache_invalidations - earlier.cache_invalidations,
-        }
+        self.zip(earlier, self.epoch, |a, b| a - b)
     }
 
     /// Element-wise sum, for aggregating over ranks (the result's `epoch`
     /// is the max of the inputs' — bookkeeping only).
     pub fn merged(&self, other: &CommCounts) -> CommCounts {
-        CommCounts {
-            epoch: self.epoch.max(other.epoch),
-            puts: self.puts + other.puts,
-            put_bytes: self.put_bytes + other.put_bytes,
-            gets: self.gets + other.gets,
-            get_bytes: self.get_bytes + other.get_bytes,
-            ams_sent: self.ams_sent + other.ams_sent,
-            am_bytes: self.am_bytes + other.am_bytes,
-            ams_handled: self.ams_handled + other.ams_handled,
-            local_ops: self.local_ops + other.local_ops,
-            retransmits: self.retransmits + other.retransmits,
-            wire_drops: self.wire_drops + other.wire_drops,
-            dup_arrivals: self.dup_arrivals + other.dup_arrivals,
-            reorders: self.reorders + other.reorders,
-            agg_ops: self.agg_ops + other.agg_ops,
-            agg_batches: self.agg_batches + other.agg_batches,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            cache_invalidations: self.cache_invalidations + other.cache_invalidations,
+        self.zip(other, self.epoch.max(other.epoch), |a, b| a + b)
+    }
+}
+
+/// One rank's recording handle: its counters, trace and profiler. Each
+/// method records one fact — the counter always, the trace and profiler
+/// streams only when they are on (one untaken branch each otherwise).
+#[derive(Clone, Copy, Debug)]
+pub struct Telemetry<'a> {
+    /// The recording rank.
+    pub rank: usize,
+    /// Its counters.
+    pub stats: &'a CommStats,
+    /// Its trace state.
+    pub trace: &'a RankTrace,
+    /// Its profiler state, when the profiler is on.
+    pub prof: Option<&'a ProfState>,
+}
+
+impl Telemetry<'_> {
+    /// A one-sided op of `bytes` on `peer`'s memory that started at
+    /// `start` (from [`RankTrace::start`]); `kind` is [`EventKind::Put`]
+    /// (remote atomics included) or [`EventKind::Get`]. An op on this
+    /// rank's own memory is a local op and is not traced.
+    #[inline]
+    pub fn rma(self, kind: EventKind, peer: usize, bytes: u64, start: u64) {
+        self.count_rma(kind, peer, bytes);
+        if peer != self.rank {
+            self.trace.span(kind, peer as i32, bytes, start);
+        }
+    }
+
+    /// The counters of [`Telemetry::rma`] alone, for the word fast path
+    /// that runs only while tracing is off: one add for a local op, two
+    /// plus the per-destination check for a remote one.
+    #[inline]
+    pub fn count_rma(self, kind: EventKind, peer: usize, bytes: u64) {
+        let s = self.stats;
+        if peer == self.rank {
+            s.local_ops.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let (ops, total) = if kind == EventKind::Put {
+            (&s.puts, &s.put_bytes)
+        } else {
+            (&s.gets, &s.get_bytes)
+        };
+        ops.fetch_add(1, Ordering::Relaxed);
+        total.fetch_add(bytes, Ordering::Relaxed);
+        s.count_dest(peer, bytes);
+    }
+
+    /// An active message to `peer` carrying `payload` argument bytes;
+    /// `wire` (the payload plus any opaque-task header) is what the
+    /// per-destination total, the size histogram and the trace see.
+    /// Returns the message's causal span when the profiler is on.
+    #[inline]
+    pub fn am_send(self, peer: usize, payload: u64, wire: u64) -> Option<ProfSpan> {
+        self.stats.ams_sent.fetch_add(1, Ordering::Relaxed);
+        self.stats.am_bytes.fetch_add(payload, Ordering::Relaxed);
+        self.stats.count_dest(peer, wire);
+        self.trace.instant(EventKind::AmSend, peer as i32, wire);
+        self.prof.map(|p| p.record_send(peer as i32))
+    }
+
+    /// An aggregation batch of `frames` logical ops flushed to `peer`.
+    #[inline]
+    pub fn batch_flush(self, peer: usize, frames: u64) {
+        self.stats.agg_ops.fetch_add(frames, Ordering::Relaxed);
+        self.stats.agg_batches.fetch_add(1, Ordering::Relaxed);
+        self.trace
+            .instant(EventKind::BatchFlush, peer as i32, frames);
+    }
+
+    /// A transmission attempt to `peer` lost on the wire.
+    pub fn wire_drop(self, peer: usize) {
+        self.stats.wire_drops.fetch_add(1, Ordering::Relaxed);
+        self.trace.instant(EventKind::WireDrop, peer as i32, 0);
+    }
+
+    /// A frame to `peer` retransmitted as attempt `attempt`; `span` ties
+    /// it to the original injection (0 for an inline RMA retry, which
+    /// carries no wire span).
+    pub fn retransmit(self, peer: usize, span: u64, attempt: u64) {
+        self.stats.retransmits.fetch_add(1, Ordering::Relaxed);
+        self.trace.instant(EventKind::AmRetransmit, peer as i32, 0);
+        if let Some(p) = self.prof {
+            p.record_instant(ProfKind::Retransmit, span, peer as i32, attempt);
+        }
+    }
+
+    /// A duplicate arrival from `peer`, discarded by the dedup window.
+    pub fn dup(self, peer: usize) {
+        self.stats.dup_arrivals.fetch_add(1, Ordering::Relaxed);
+        self.trace.instant(EventKind::AmDup, peer as i32, 0);
+    }
+
+    /// An arrival parked ahead of a missing predecessor.
+    pub fn reorder(self) {
+        self.stats.reorders.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A remote get of `bytes` on `peer`'s memory served from the read
+    /// cache.
+    #[inline]
+    pub fn cache_hit(self, peer: usize, bytes: u64) {
+        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.trace.instant(EventKind::CacheHit, peer as i32, bytes);
+    }
+
+    /// A read-cache miss that filled a `bytes`-byte line from `peer`.
+    pub fn cache_fill(self, peer: usize, bytes: u64) {
+        self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.trace.instant(EventKind::CacheFill, peer as i32, bytes);
+    }
+
+    /// `lines` cached lines dropped by write-through or a sync point.
+    #[inline]
+    pub fn invalidated(self, lines: u64) {
+        if lines != 0 {
+            self.stats
+                .cache_invalidations
+                .fetch_add(lines, Ordering::Relaxed);
         }
     }
 }
@@ -542,5 +603,104 @@ mod tests {
         assert_eq!(m.puts, 7);
         assert_eq!(m.total_bytes(), 56);
         assert_eq!(m.remote_ops(), 7);
+    }
+
+    fn tel<'a>(
+        stats: &'a CommStats,
+        trace: &'a RankTrace,
+        prof: Option<&'a ProfState>,
+    ) -> Telemetry<'a> {
+        Telemetry {
+            rank: 0,
+            stats,
+            trace,
+            prof,
+        }
+    }
+
+    #[test]
+    fn each_fact_bumps_its_counter_with_every_stream_off() {
+        let (s, t) = (CommStats::default(), RankTrace::disabled());
+        let tel = tel(&s, &t, None);
+        tel.rma(EventKind::Put, 1, 8, t.start());
+        tel.rma(EventKind::Get, 2, 16, t.start());
+        tel.rma(EventKind::Put, 0, 8, t.start());
+        assert!(tel.am_send(1, 4, 4).is_none());
+        tel.batch_flush(1, 10);
+        tel.wire_drop(1);
+        tel.retransmit(1, 0, 1);
+        tel.dup(1);
+        tel.reorder();
+        tel.cache_hit(1, 8);
+        tel.cache_fill(1, 64);
+        tel.invalidated(3);
+        tel.invalidated(0);
+        let c = s.snapshot();
+        let expect = CommCounts {
+            puts: 1,
+            put_bytes: 8,
+            gets: 1,
+            get_bytes: 16,
+            local_ops: 1,
+            ams_sent: 1,
+            am_bytes: 4,
+            agg_ops: 10,
+            agg_batches: 1,
+            wire_drops: 1,
+            retransmits: 1,
+            dup_arrivals: 1,
+            reorders: 1,
+            cache_hits: 1,
+            cache_misses: 1,
+            cache_invalidations: 3,
+            ..Default::default()
+        };
+        assert_eq!(c, expect);
+        assert!(t.events().is_empty());
+    }
+
+    #[test]
+    fn traced_facts_feed_ring_histograms_and_profiler() {
+        let s = CommStats::default();
+        let t = RankTrace::new(&crate::TraceConfig::events().with_ring_capacity(64));
+        let p = ProfState::new(0, &crate::ProfConfig::on());
+        let tel = tel(&s, &t, Some(&p));
+        tel.rma(EventKind::Put, 1, 8, t.start());
+        tel.rma(EventKind::Put, 0, 8, t.start()); // local: counted, not traced
+        let span = tel.am_send(2, 0, 64).expect("profiler on");
+        tel.retransmit(2, span.id, 1);
+        tel.cache_fill(1, 256);
+        let kinds: Vec<EventKind> = t.events().iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::Put,
+                EventKind::AmSend,
+                EventKind::AmRetransmit,
+                EventKind::CacheFill
+            ]
+        );
+        let m = t.snapshot();
+        assert_eq!((m.put_ns.count, m.msg_bytes.count), (1, 2));
+        assert_eq!(m.cache_fill_bytes.max, 256);
+        let prof: Vec<(ProfKind, u64)> =
+            p.ring.snapshot().iter().map(|e| (e.kind, e.span)).collect();
+        assert_eq!(
+            prof,
+            [(ProfKind::Send, span.id), (ProfKind::Retransmit, span.id)]
+        );
+        let c = s.snapshot();
+        assert_eq!((c.puts, c.local_ops, c.ams_sent, c.am_bytes), (1, 1, 1, 0));
+    }
+
+    #[test]
+    fn cache_hit_ratio() {
+        assert_eq!(CommCounts::default().cache_hit_ratio(), 0.0);
+        let c = CommCounts {
+            cache_hits: 3,
+            cache_misses: 1,
+            ..Default::default()
+        };
+        assert!((c.cache_hit_ratio() - 0.75).abs() < 1e-9);
     }
 }

@@ -145,7 +145,7 @@ fn batch_occupancy_metrics_match_stats() {
         let r = gups::run(ctx, &gups_cfg(Variant::UpcxxAgg));
         ctx.barrier();
         let stats = ctx.fabric().endpoint(ctx.rank()).stats.snapshot();
-        let metrics = ctx.trace().metrics.snapshot();
+        let metrics = ctx.trace().snapshot();
         (r, stats, metrics)
     });
     for (rank, (r, stats, metrics)) in out.iter().enumerate() {

@@ -195,6 +195,41 @@ fn smoke_uds_gups_2proc() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// ---- Telemetry exports: one file per rank process ----
+
+#[test]
+fn traced_processes_export_one_file_per_rank() {
+    let dir = scratch("trace-export");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = format!("events,{dir}/t.json");
+    let prof = format!("on,{dir}/p.json");
+    let env = [("RUPCXX_TRACE", &*trace), ("RUPCXX_PROF", &*prof)];
+    let args = ["updates=300", "table=1024"];
+    run_app(Some(&format!("uds:{dir}")), "gups", 2, &args, &env);
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".json"))
+        .collect();
+    files.sort();
+    assert_eq!(
+        files,
+        [
+            "p.rank0.json",
+            "p.rank1.json",
+            "t.rank0.json",
+            "t.rank1.json"
+        ]
+    );
+    // Each rank's trace holds its own timeline and no stub's.
+    for (rank, other) in [(0, 1), (1, 0)] {
+        let json = std::fs::read_to_string(format!("{dir}/t.rank{rank}.json")).unwrap();
+        assert!(json.contains(&format!("\"tid\":{rank},")), "rank {rank}");
+        assert!(!json.contains(&format!("\"tid\":{other},")), "rank {rank}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---- Full conformance ----
 
 #[test]

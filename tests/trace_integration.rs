@@ -1,13 +1,17 @@
 //! Integration tests for the `rupcxx-trace` observability layer: a
 //! multi-rank GUPS-style workload traced end to end, checking that the
 //! event ring agrees with `CommStats`, that the Chrome-trace exporter
-//! writes a structurally valid file at job teardown, and that a job with
-//! tracing disabled records nothing.
+//! writes a structurally valid file at job teardown, that the teardown
+//! summary of a traced chaos job reports its ring and its fault
+//! counters, and that a job with tracing disabled records nothing.
 
-use rupcxx_net::GlobalAddr;
-use rupcxx_runtime::{spmd, RuntimeConfig};
+use rupcxx_apps::sample_sort;
+use rupcxx_net::{Fabric, FaultPlan, GlobalAddr};
+use rupcxx_runtime::{spmd, trace_summary, RuntimeConfig};
 use rupcxx_trace::{EventKind, TraceConfig};
+use rupcxx_util::sync::Mutex;
 use rupcxx_util::GupsRng;
+use std::sync::Arc;
 
 /// Per-rank observation returned from inside the traced job.
 struct RankObs {
@@ -47,6 +51,10 @@ fn gups_trace_events_match_comm_stats() {
                 let peer = (me + 1) % RANKS;
                 let _ = ctx.fabric().get_u64(me, GlobalAddr::new(peer, 0));
             }
+            // One owner-mediated remote allocation and free: their AM
+            // round trips are sends like any other.
+            let block = ctx.alloc_on((me + 1) % RANKS, 64).expect("segment space");
+            ctx.free(block);
             ctx.barrier();
             // Quiescent for this rank's initiator-side counters: snapshot
             // both the counters and the ring and compare.
@@ -123,7 +131,7 @@ fn disabled_trace_records_no_events_or_metrics() {
                 .put_u64(me, GlobalAddr::new((me + 1) % 2, 0), 7);
             ctx.barrier();
             let trace = ctx.trace();
-            let m = trace.metrics.snapshot();
+            let m = trace.snapshot();
             (
                 trace.enabled(),
                 trace.events().len(),
@@ -154,7 +162,7 @@ fn metrics_mode_populates_histograms_without_ring() {
             }
             ctx.barrier();
             let trace = ctx.trace();
-            let m = trace.metrics.snapshot();
+            let m = trace.snapshot();
             (
                 trace.events().len(),
                 m.put_ns.count,
@@ -169,4 +177,53 @@ fn metrics_mode_populates_histograms_without_ring() {
         assert!(polls > 0, "advance() polls must be counted");
         assert_eq!(barriers, 1);
     }
+}
+
+#[test]
+fn traced_chaos_summary_reports_ring_and_fault_counters() {
+    const RANKS: usize = 4;
+    let trace_path =
+        std::env::temp_dir().join(format!("rupcxx_chaos_trace_{}.json", std::process::id()));
+    let fabric: Mutex<Option<Arc<Fabric>>> = Mutex::new(None);
+    spmd(
+        RuntimeConfig::new(RANKS)
+            .segment_mib(4)
+            .with_faults(FaultPlan::new(202).drop(0.10).dup(0.05).reorder(0.10))
+            .with_trace(TraceConfig::events().with_path(trace_path.to_str().unwrap())),
+        |ctx| {
+            if ctx.rank() == 0 {
+                *fabric.lock() = Some(ctx.shared().fabric.clone());
+            }
+            let cfg = sample_sort::SortConfig {
+                keys_per_rank: 500,
+                oversample: 16,
+                variant: sample_sort::Variant::Upcxx,
+                seed: 7,
+            };
+            assert!(sample_sort::run(ctx, &cfg).verified);
+        },
+    );
+    let _ = std::fs::remove_file(&trace_path);
+    // Every rank has drained to quiescence: the summary is final.
+    let fabric = fabric.lock().take().expect("rank 0 captured the fabric");
+    let csv = trace_summary(&fabric).to_csv();
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+    let col = |name: &str| header.iter().position(|h| *h == name).expect(name);
+    let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
+    assert_eq!(rows.len(), RANKS + 1, "one row per rank plus `all`");
+    for (rank, row) in rows.iter().take(RANKS).enumerate() {
+        let c = fabric.endpoint(rank).stats.snapshot();
+        let cell = |name: &str| row[col(name)].parse::<u64>().expect(name);
+        assert!(cell("events") > 0, "rank {rank}: events column is 0");
+        assert_eq!(cell("retx"), c.retransmits, "rank {rank} retx");
+        assert_eq!(cell("drops"), c.wire_drops, "rank {rank} drops");
+        assert_eq!(cell("dups"), c.dup_arrivals, "rank {rank} dups");
+    }
+    let total = fabric.total_counts();
+    assert!(total.wire_drops > 0, "the plan must have dropped frames");
+    assert_eq!(
+        rows[RANKS][col("drops")].parse::<u64>().unwrap(),
+        total.wire_drops
+    );
 }
